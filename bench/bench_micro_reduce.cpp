@@ -38,8 +38,9 @@ class SumReducer final : public mapred::Reducer {
 };
 
 // A shuffle-heavy workload: many splits, many distinct long-prefix keys
-// (grouping must compare keys, the hash sort key shortcut matters), no
-// combiner so every map output pair crosses the shuffle.
+// (a string compare confirms every cached-hash match, and long shared
+// prefixes make it cost), no combiner so every map output pair crosses the
+// shuffle.
 struct Workload {
   std::vector<std::string> blocks;
   std::vector<mapred::InputSplit> splits;

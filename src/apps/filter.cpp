@@ -1,8 +1,9 @@
 #include "apps/filter.hpp"
 
-#include <charconv>
 #include <cstdint>
 #include <memory>
+
+#include "apps/sum_reducer.hpp"
 
 namespace datanet::apps {
 
@@ -32,20 +33,6 @@ class FilterStatsMapper final : public mapred::Mapper {
   std::string target_;
   std::uint64_t filtered_out_ = 0;
   std::uint64_t matched_ = 0;
-};
-
-class SumReducer final : public mapred::Reducer {
- public:
-  void reduce(const mapred::Key& key, std::span<const mapred::Value> values,
-              mapred::Emitter& out) override {
-    std::uint64_t sum = 0;
-    for (const auto& v : values) {
-      std::uint64_t x = 0;
-      std::from_chars(v.data(), v.data() + v.size(), x);
-      sum += x;
-    }
-    out.emit(key, std::to_string(sum));
-  }
 };
 
 }  // namespace

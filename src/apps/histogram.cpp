@@ -1,11 +1,10 @@
 #include "apps/histogram.hpp"
 
-#include <charconv>
 #include <cstdio>
 #include <memory>
 #include <unordered_map>
-#include <vector>
 
+#include "apps/sum_reducer.hpp"
 #include "common/string_util.hpp"
 
 namespace datanet::apps {
@@ -16,12 +15,10 @@ class HistogramMapper final : public mapred::Mapper {
  public:
   void map(const workload::RecordView& record, mapred::Emitter& out) override {
     (void)out;
-    words_.clear();
-    common::tokenize_words(record.payload, words_);
-    for (const auto& w : words_) {
-      ++length_counts_[w.size()];
+    common::for_each_word(record.payload, [&](std::string_view word) {
+      ++length_counts_[word.size()];
       ++total_;
-    }
+    });
   }
 
   void finish(mapred::Emitter& out) override {
@@ -36,23 +33,8 @@ class HistogramMapper final : public mapred::Mapper {
   }
 
  private:
-  std::vector<std::string> words_;
   std::unordered_map<std::size_t, std::uint64_t> length_counts_;
   std::uint64_t total_ = 0;
-};
-
-class SumReducer final : public mapred::Reducer {
- public:
-  void reduce(const mapred::Key& key, std::span<const mapred::Value> values,
-              mapred::Emitter& out) override {
-    std::uint64_t sum = 0;
-    for (const auto& v : values) {
-      std::uint64_t x = 0;
-      std::from_chars(v.data(), v.data() + v.size(), x);
-      sum += x;
-    }
-    out.emit(key, std::to_string(sum));
-  }
 };
 
 }  // namespace

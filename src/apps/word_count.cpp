@@ -1,39 +1,47 @@
 #include "apps/word_count.hpp"
 
-#include <charconv>
+#include <cstdint>
+#include <functional>
 #include <memory>
-#include <vector>
+#include <string>
+#include <string_view>
+#include <unordered_map>
 
+#include "apps/sum_reducer.hpp"
 #include "common/string_util.hpp"
 
 namespace datanet::apps {
 
 namespace {
 
+// Transparent, so a word the walker yields as a view is looked up without
+// building a string.
+struct WordHash : std::hash<std::string_view> {
+  using is_transparent = void;
+};
+
+// In-mapper combining: a task counts its words in a hash map and emits one
+// (word, count) pair per distinct word when its split is exhausted.
 class WordCountMapper final : public mapred::Mapper {
  public:
-  void map(const workload::RecordView& record, mapred::Emitter& out) override {
-    words_.clear();
-    common::tokenize_words(record.payload, words_);
-    for (auto& w : words_) out.emit(std::move(w), "1");
+  void map(const workload::RecordView& record, mapred::Emitter&) override {
+    common::for_each_word(record.payload, [&](std::string_view word) {
+      auto it = counts_.find(word);
+      if (it == counts_.end()) it = counts_.emplace(word, 0).first;
+      ++it->second;
+    });
+  }
+
+  void finish(mapred::Emitter& out) override {
+    for (const auto& [word, count] : counts_) {
+      out.emit(word, std::to_string(count));
+    }
+    counts_.clear();
   }
 
  private:
-  std::vector<std::string> words_;
-};
-
-class SumReducer final : public mapred::Reducer {
- public:
-  void reduce(const mapred::Key& key, std::span<const mapred::Value> values,
-              mapred::Emitter& out) override {
-    std::uint64_t sum = 0;
-    for (const auto& v : values) {
-      std::uint64_t x = 0;
-      std::from_chars(v.data(), v.data() + v.size(), x);
-      sum += x;
-    }
-    out.emit(key, std::to_string(sum));
-  }
+  std::unordered_map<std::string, std::uint64_t, WordHash, std::equal_to<>>
+      counts_;
 };
 
 }  // namespace

@@ -7,7 +7,7 @@
 
 namespace datanet::apps {
 
-// Mapper emits (word, "1") per token; combiner/reducer sum counts.
+// Mapper emits (word, count) per distinct word of its task; reducers sum.
 [[nodiscard]] mapred::Job make_word_count_job();
 
 }  // namespace datanet::apps

@@ -3,7 +3,7 @@
 // into geometrically-growing chunks, and the whole arena is released (or
 // rewound with reset()) at once — no per-object frees. The mapred engine
 // gives each map task its own Arena for emitted pairs and the per-reducer
-// partition split, so the shuffle's (hash, key) vectors stop hitting the
+// partition split, so the shuffle's hashed-pair vectors stop hitting the
 // global heap per pair. Oversized requests fall back to dedicated blocks so
 // one huge vector never poisons the chunk chain. Not thread-safe: one arena
 // per task/thread by construction.

@@ -38,18 +38,4 @@ std::optional<double> parse_double(std::string_view s) {
   return v;
 }
 
-void tokenize_words(std::string_view text, std::vector<std::string>& out) {
-  std::string cur;
-  for (char ch : text) {
-    const auto uc = static_cast<unsigned char>(ch);
-    if (std::isalnum(uc) || ch == '\'') {
-      cur.push_back(static_cast<char>(std::tolower(uc)));
-    } else if (!cur.empty()) {
-      out.push_back(std::move(cur));
-      cur.clear();
-    }
-  }
-  if (!cur.empty()) out.push_back(std::move(cur));
-}
-
 }  // namespace datanet::common

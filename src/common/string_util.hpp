@@ -1,5 +1,5 @@
 #pragma once
-// Allocation-light string helpers for the record codecs and tokenizers.
+// Allocation-light string helpers for the record codecs and the word walker.
 
 #include <charconv>
 #include <cstdint>
@@ -41,8 +41,43 @@ void for_each_split(std::string_view s, char sep, Fn&& fn) {
 [[nodiscard]] std::optional<std::int64_t> parse_i64(std::string_view s);
 [[nodiscard]] std::optional<double> parse_double(std::string_view s);
 
-// Tokenize into lowercase words (runs of [A-Za-z0-9']); used by WordCount and
-// the histogram/TopK jobs. Appends to `out` to allow buffer reuse.
-void tokenize_words(std::string_view text, std::vector<std::string>& out);
+namespace detail {
+// Lowercased form of a word byte ([A-Za-z0-9']), '\0' for a separator.
+constexpr char word_byte(char c) {
+  if (c >= 'A' && c <= 'Z') return static_cast<char>(c - 'A' + 'a');
+  const bool word =
+      (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c == '\'';
+  return word ? c : '\0';
+}
+}  // namespace detail
+
+// Invoke `fn(word)` for each word of `text` in order: a maximal run of ASCII
+// [A-Za-z0-9'], lowercased (isalnum/tolower in the C locale; every other
+// byte, >= 0x80 included, separates words). Used by WordCount and the word
+// histogram. `word` views `text` itself when the run has no uppercase
+// letter, else a lowercased copy in one buffer reused for the whole walk;
+// either way it is valid only during the call. Lowercase text never
+// allocates.
+template <typename Fn>
+void for_each_word(std::string_view text, Fn&& fn) {
+  const auto byte = [&](std::size_t i) { return detail::word_byte(text[i]); };
+  std::string lowered;
+  std::size_t i = 0;
+  for (;;) {
+    while (i < text.size() && byte(i) == '\0') ++i;
+    if (i == text.size()) return;
+    const std::size_t begin = i;
+    bool folded = false;
+    for (; i < text.size() && byte(i) != '\0'; ++i) {
+      folded |= byte(i) != text[i];
+    }
+    std::string_view word = text.substr(begin, i - begin);
+    if (folded) {
+      for (char& c : lowered.assign(word)) c = detail::word_byte(c);
+      word = lowered;
+    }
+    fn(word);
+  }
+}
 
 }  // namespace datanet::common

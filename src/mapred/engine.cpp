@@ -1,13 +1,12 @@
 #include "mapred/engine.hpp"
 
 #include <algorithm>
-#include <atomic>
+#include <bit>
 #include <chrono>
 #include <memory>
+#include <numeric>
 #include <optional>
-#include <queue>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "common/arena.hpp"
 #include "common/hash.hpp"
@@ -102,8 +101,8 @@ std::uint64_t apply_speculative_backups(
 
 namespace {
 
-// Seed of the shuffle partitioner; also seeds the cached sort hash so one
-// hash per pair serves both partitioning and grouping.
+// Seed of the shuffle partitioner; also seeds the cached grouping hash so
+// one hash per pair serves both partitioning and grouping.
 constexpr std::uint64_t kPartitionSeed = 0x9e3779b9;
 
 // The flat counter list lives on Emitter (the base count() bumps it without
@@ -153,36 +152,47 @@ common::ArenaVector<HashedPair> hash_pairs(PairVec pairs,
   return out;
 }
 
-// Group pairs by key, then apply a reducer. The sort key is (hash, key):
-// equal keys share a hash, so grouping is exact, while distinct keys almost
-// always order by the cached hash without touching the strings — string
-// comparisons no longer dominate grouping of long common-prefix keys. The
-// stable sort keeps values in emission order within a key; which key the
-// reducer sees first is hash order, but every consumer of reducer output
-// (JobReport.output, counters) is order-insensitive. Counter emissions are
-// merged into `counters` when provided. Output lives in `arena`.
+// Group pairs by key, then apply a reducer. An open-addressing table indexed
+// by the cached hash's high bits (its low bits chose the partition) numbers
+// the keys in first-seen order, comparing strings only on a full hash match;
+// a stable counting pass then lays each key's values out contiguously in
+// arrival order (task-then-emit for a reducer). Counter emissions are merged
+// into `counters` when provided. Output lives in `arena`.
 template <class HashedVec>
 common::ArenaVector<std::pair<Key, Value>> reduce_pairs(
     Reducer& reducer, HashedVec pairs, common::Arena& arena,
     CounterList* counters = nullptr) {
-  std::stable_sort(pairs.begin(), pairs.end(),
-                   [](const HashedPair& a, const HashedPair& b) {
-                     if (a.hash != b.hash) return a.hash < b.hash;
-                     return a.key < b.key;
-                   });
-  VectorEmitter out(arena);
-  std::size_t i = 0;
-  std::vector<Value> values;
-  while (i < pairs.size()) {
-    std::size_t j = i;
-    values.clear();
-    while (j < pairs.size() && pairs[j].hash == pairs[i].hash &&
-           pairs[j].key == pairs[i].key) {
-      values.push_back(std::move(pairs[j].value));
-      ++j;
+  const std::size_t n = pairs.size();
+  std::vector<std::size_t> first;  // each group's first pair
+  std::vector<std::size_t> group_of(n);
+  std::vector<std::size_t> table(std::bit_ceil(2 * n + 1), 0);  // group + 1
+  const int shift = 64 - std::countr_zero(table.size());
+  for (std::size_t i = 0; i < n; ++i) {
+    const HashedPair& hp = pairs[i];
+    auto at = static_cast<std::size_t>(hp.hash >> shift);
+    for (; table[at] != 0; at = (at + 1) & (table.size() - 1)) {
+      const HashedPair& head = pairs[first[table[at] - 1]];
+      if (head.hash == hp.hash && head.key == hp.key) break;
     }
-    reducer.reduce(pairs[i].key, values, out);
-    i = j;
+    if (table[at] == 0) {
+      first.push_back(i);
+      table[at] = first.size();
+    }
+    group_of[i] = table[at] - 1;
+  }
+  std::vector<std::size_t> offset(first.size() + 1, 0);
+  for (const std::size_t g : group_of) ++offset[g + 1];
+  std::partial_sum(offset.begin(), offset.end(), offset.begin());
+  std::vector<Value> values(n);
+  std::vector<std::size_t> fill(offset.begin(), offset.end() - 1);
+  for (std::size_t i = 0; i < n; ++i) {
+    values[fill[group_of[i]]++] = std::move(pairs[i].value);
+  }
+  VectorEmitter out(arena);
+  for (std::size_t g = 0; g < first.size(); ++g) {
+    reducer.reduce(pairs[first[g]].key,
+                   {values.data() + offset[g], values.data() + offset[g + 1]},
+                   out);
   }
   if (counters) {
     for (auto& [name, v] : out.counters()) {

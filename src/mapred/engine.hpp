@@ -16,8 +16,9 @@
 //
 // Real execution is parallel end to end: map tasks emit pre-partitioned
 // output (key hash computed once per pair and cached), and the per-partition
-// group+reduce stage runs on the same thread pool as the map stage. All
-// results and simulated timings are bit-identical at any thread count.
+// group+reduce stage (a hash table on that hash, no sort) runs on the map
+// stage's thread pool. Results and simulated timings are bit-identical at any
+// thread count.
 
 #include <cstdint>
 #include <functional>

@@ -64,8 +64,8 @@ class Mapper {
 class Reducer {
  public:
   virtual ~Reducer() = default;
-  // `values` are all values observed for `key` (combiner: within one task;
-  // reducer: across all tasks), in deterministic task-then-emit order.
+  // Called per key, in first-seen key order; `values` are the key's values
+  // (combiner: one task's; reducer: all tasks') in task-then-emit order.
   virtual void reduce(const Key& key, std::span<const Value> values,
                       Emitter& out) = 0;
 };

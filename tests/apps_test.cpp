@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <charconv>
+#include <cstdio>
 #include <map>
 #include <unordered_map>
 
@@ -13,8 +15,10 @@
 #include "apps/moving_average.hpp"
 #include "apps/topk_search.hpp"
 #include "apps/word_count.hpp"
+#include "common/rng.hpp"
 #include "common/string_util.hpp"
 #include "mapred/engine.hpp"
+#include "mapred/report_json.hpp"
 
 namespace da = datanet::apps;
 namespace dm = datanet::mapred;
@@ -68,6 +72,156 @@ TEST(WordCount, MultiSplitAggregation) {
 TEST(WordCount, EmptyPayloads) {
   const auto report = run1(da::make_word_count_job(), lines({"1\tm\t"}));
   EXPECT_TRUE(report.output.empty());
+}
+
+namespace {
+
+// The tokenizer rule written out the naive way: runs of isalnum or '\'',
+// lowercased with tolower — the C locale, which the program never changes.
+std::map<std::string, std::uint64_t> naive_word_counts(std::string_view text) {
+  std::map<std::string, std::uint64_t> counts;
+  std::string cur;
+  for (const char ch : text) {
+    const auto uc = static_cast<unsigned char>(ch);
+    if (std::isalnum(uc) || ch == '\'') {
+      cur.push_back(static_cast<char>(std::tolower(uc)));
+    } else if (!cur.empty()) {
+      ++counts[cur];
+      cur.clear();
+    }
+  }
+  if (!cur.empty()) ++counts[cur];
+  return counts;
+}
+
+}  // namespace
+
+TEST(WordCount, MatchesNaiveTokenizerOnMixedText) {
+  // Payloads mixing case, digits, apostrophes, punctuation, tabs, CRs and
+  // bytes >= 0x80, spread over several splits on two nodes.
+  static constexpr std::string_view kPieces[] = {
+      "Word", "WORD", "word", "w0rd", "42", "don't", "DON'T", "'", "''",
+      "x", "Ünïcode", "caf\xC3\xA9", "\xFF", "\x80Z\x80", ",", ".", "!?",
+      "-", " ", " ", "\t", "\r", "a'B'c", "MiXeD123case"};
+  datanet::common::Rng rng(2016);
+  std::vector<std::string> blocks(5);
+  std::map<std::string, std::uint64_t> expected;
+  std::map<std::size_t, std::uint64_t> expected_lengths;
+  std::uint64_t total_words = 0;
+  for (std::size_t r = 0; r < 200; ++r) {
+    std::string payload;
+    const auto pieces = rng.bounded(30);
+    for (std::uint64_t p = 0; p < pieces; ++p) {
+      payload += kPieces[rng.bounded(std::size(kPieces))];
+      if (rng.bounded(3) == 0) payload += ' ';
+    }
+    blocks[r % blocks.size()] +=
+        std::to_string(r) + "\tm" + std::to_string(r % 4) + "\t" + payload +
+        "\n";
+    for (const auto& [word, n] : naive_word_counts(payload)) {
+      expected[word] += n;
+      expected_lengths[word.size()] += n;
+      total_words += n;
+    }
+  }
+  std::vector<dm::InputSplit> splits;
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    splits.push_back({.node = static_cast<std::uint32_t>(b % 2),
+                      .data = blocks[b],
+                      .charged_bytes = 0});
+  }
+  dm::Engine engine({.num_nodes = 2});
+
+  const auto counted = engine.run(da::make_word_count_job(), splits);
+  ASSERT_EQ(counted.output.size(), expected.size());
+  for (const auto& [word, n] : expected) {
+    EXPECT_EQ(counted.output.at(word), std::to_string(n)) << word;
+  }
+
+  const auto histogram = engine.run(da::make_word_histogram_job(), splits);
+  EXPECT_EQ(histogram.output.at("total_words"), std::to_string(total_words));
+  for (const auto& [len, n] : expected_lengths) {
+    char key[24];
+    std::snprintf(key, sizeof(key), "len_%03zu", len);
+    EXPECT_EQ(histogram.output.at(key), std::to_string(n)) << key;
+  }
+  EXPECT_EQ(histogram.output.size(), expected_lengths.size() + 1);
+}
+
+// ---- pinned reports ----
+
+namespace {
+
+// A small fixed dataset: three splits on two nodes, mixed-case text.
+struct GoldenInput {
+  std::vector<std::string> blocks = {
+      lines({"100\tmovie_1\tThe film was GOOD, the cast was good.",
+             "101\tmovie_2\tNot my kind of film: 2 stars, can't recommend.",
+             "102\tmovie_1\tGood good GOOD!"}),
+      lines({"103\tmovie_3\tA film about films'; director's cut.",
+             "104\tmovie_1\tthe end"}),
+      lines({"105\tmovie_2\tWas it good? It was 10/10 for the cast.",
+             "106\tmovie_3\t\tcaf\xC3\xA9 \xE2\x80\x94 FILM\r"})};
+  std::vector<dm::InputSplit> splits() const {
+    return {{.node = 0, .data = blocks[0], .charged_bytes = 0},
+            {.node = 1, .data = blocks[1], .charged_bytes = 0},
+            {.node = 0, .data = blocks[2], .charged_bytes = 0}};
+  }
+};
+
+// Pinned whole serialized reports, output included: how the engine groups
+// pairs and how WordCount combines may not change a byte of them.
+
+// WordCount over GoldenInput.
+constexpr std::string_view kWordCountJson =
+    R"json({"timing":{"map_phase_seconds":1.000044809,"first_map_finish_seconds":1.000023057,"shuffle_phase_seconds":4.540307617e-05,"reduce_phase_seconds":1.182556152e-05,"total_seconds":1.000080286,"node_map_seconds":[1.000044809,1.000023057])json"
+    R"json(,"shuffle_task_seconds":[2.70925293e-05,3.968103027e-05,3.739221191e-05,4.540307617e-05,2.365930176e-05,2.480371094e-05,2.785546875e-05,2.518518066e-05]})json"
+    R"json(,"aggregates":{"input_records":7,"input_bytes":287,"map_output_pairs":30,"shuffle_bytes":202,"skipped_lines":0,"output_keys":23})json"
+    R"json(,"faults":{"retries":0,"lost_blocks":0,"under_replicated":0,"degraded":false})json"
+    R"json(,"attempts":{"attempts":0,"timeouts":0,"transient_retries":0,"redispatches":0,"speculative_launched":0,"speculative_wins":0,"timing_backups":0,"degraded_tasks":0})json"
+    R"json(,"recovery":{"healed_blocks":0,"pending_repairs":0,"mttr_ticks":0,"monitor_ticks":0,"scrubbed_replicas":0,"unrepairable":0})json"
+    R"json(,"counters":{})json"
+    R"json(,"output":{"10":"2","2":"1","a":"1","about":"1","caf":"1","can't":"1","cast":"2","cut":"1","director's":"1","end":"1","film":"4","films'":"1","for":"1","good":"6","it":"2","kind":"1","my":"1","not":"1","of":"1","recommend":"1","stars":"1","the":"4","was":"4"}})json";
+
+// FilterStats over GoldenInput, every key.
+constexpr std::string_view kFilterStatsJson =
+    R"json({"timing":{"map_phase_seconds":0.5000038663,"first_map_finish_seconds":0.5000020451,"shuffle_phase_seconds":1.021358032e-05,"reduce_phase_seconds":4.196166992e-06,"total_seconds":0.5000164548,"node_map_seconds":[0.5000038663,0.5000020451])json"
+    R"json(,"shuffle_task_seconds":[1.821246338e-06,1.021358032e-05,1.821246338e-06,1.821246338e-06,1.021358032e-05,1.021358032e-05,1.821246338e-06,1.821246338e-06]})json"
+    R"json(,"aggregates":{"input_records":7,"input_bytes":287,"map_output_pairs":6,"shuffle_bytes":66,"skipped_lines":0,"output_keys":3})json"
+    R"json(,"faults":{"retries":0,"lost_blocks":0,"under_replicated":0,"degraded":false})json"
+    R"json(,"attempts":{"attempts":0,"timeouts":0,"transient_retries":0,"redispatches":0,"speculative_launched":0,"speculative_wins":0,"timing_backups":0,"degraded_tasks":0})json"
+    R"json(,"recovery":{"healed_blocks":0,"pending_repairs":0,"mttr_ticks":0,"monitor_ticks":0,"scrubbed_replicas":0,"unrepairable":0})json"
+    R"json(,"counters":{"records_matched":7})json"
+    R"json(,"output":{"movie_1":"98","movie_2":"111","movie_3":"77"}})json";
+
+// FilterStats over GoldenInput, key movie_1.
+constexpr std::string_view kFilterStatsMovie1Json =
+    R"json({"timing":{"map_phase_seconds":0.5000038663,"first_map_finish_seconds":0.5000020451,"shuffle_phase_seconds":1.021358032e-05,"reduce_phase_seconds":4.196166992e-06,"total_seconds":0.5000164548,"node_map_seconds":[0.5000038663,0.5000020451])json"
+    R"json(,"shuffle_task_seconds":[1.821246338e-06,1.821246338e-06,1.821246338e-06,1.821246338e-06,1.821246338e-06,1.021358032e-05,1.821246338e-06,1.821246338e-06]})json"
+    R"json(,"aggregates":{"input_records":7,"input_bytes":287,"map_output_pairs":2,"shuffle_bytes":22,"skipped_lines":0,"output_keys":1})json"
+    R"json(,"faults":{"retries":0,"lost_blocks":0,"under_replicated":0,"degraded":false})json"
+    R"json(,"attempts":{"attempts":0,"timeouts":0,"transient_retries":0,"redispatches":0,"speculative_launched":0,"speculative_wins":0,"timing_backups":0,"degraded_tasks":0})json"
+    R"json(,"recovery":{"healed_blocks":0,"pending_repairs":0,"mttr_ticks":0,"monitor_ticks":0,"scrubbed_replicas":0,"unrepairable":0})json"
+    R"json(,"counters":{"records_filtered_out":4,"records_matched":3})json"
+    R"json(,"output":{"movie_1":"98"}})json";
+
+}  // namespace
+
+TEST(WordCount, ReportJsonMatchesPinnedGolden) {
+  const GoldenInput in;
+  dm::Engine engine({.num_nodes = 2});
+  const auto report = engine.run(da::make_word_count_job(), in.splits());
+  EXPECT_EQ(dm::report_to_json(report, true), kWordCountJson);
+}
+
+TEST(Filter, ReportJsonMatchesPinnedGolden) {
+  const GoldenInput in;
+  dm::Engine engine({.num_nodes = 2});
+  const auto report = engine.run(da::make_filter_stats_job(""), in.splits());
+  EXPECT_EQ(dm::report_to_json(report, true), kFilterStatsJson);
+  const auto targeted =
+      engine.run(da::make_filter_stats_job("movie_1"), in.splits());
+  EXPECT_EQ(dm::report_to_json(targeted, true), kFilterStatsMovie1Json);
 }
 
 // ---- moving average ----

@@ -216,32 +216,78 @@ TEST(StringUtil, ParseDouble) {
   EXPECT_FALSE(dc::parse_double("abc"));
 }
 
-TEST(StringUtil, TokenizeWordsLowercases) {
+namespace {
+
+// Appends the words the walker yields for `text` to `out`.
+void collect_words(std::string_view text, std::vector<std::string>& out) {
+  dc::for_each_word(text, [&](std::string_view w) { out.emplace_back(w); });
+}
+
+std::vector<std::string> words_of(std::string_view text) {
   std::vector<std::string> words;
-  dc::tokenize_words("Hello World", words);
+  collect_words(text, words);
+  return words;
+}
+
+}  // namespace
+
+TEST(StringUtil, TokenizeWordsLowercases) {
+  const auto words = words_of("Hello World");
   ASSERT_EQ(words.size(), 2u);
   EXPECT_EQ(words[0], "hello");
   EXPECT_EQ(words[1], "world");
 }
 
 TEST(StringUtil, TokenizeWordsPunctuation) {
-  std::vector<std::string> words;
-  dc::tokenize_words("don't stop, now! 42x", words);
+  const auto words = words_of("don't stop, now! 42x");
   ASSERT_EQ(words.size(), 4u);
   EXPECT_EQ(words[0], "don't");
   EXPECT_EQ(words[3], "42x");
 }
 
 TEST(StringUtil, TokenizeWordsAppends) {
+  // The walker keeps no state between walks: a caller's buffer only grows.
   std::vector<std::string> words{"pre"};
-  dc::tokenize_words("a b", words);
-  EXPECT_EQ(words.size(), 3u);
+  collect_words("a B", words);
+  collect_words("c", words);
+  EXPECT_EQ(words, (std::vector<std::string>{"pre", "a", "b", "c"}));
 }
 
 TEST(StringUtil, TokenizeWordsEmpty) {
+  EXPECT_TRUE(words_of("  ,,, ").empty());
+  EXPECT_TRUE(words_of("").empty());
+}
+
+TEST(StringUtil, WordWalkerSplitsOnHighBytes) {
+  // Bytes >= 0x80 (UTF-8 "é", Latin-1 0xC9, 0xFF) are separators, never
+  // lowercased: isalnum/tolower in the C locale.
+  EXPECT_EQ(words_of("caf\xC3\xA9 NA\xC9VE x\xFFY"),
+            (std::vector<std::string>{"caf", "na", "ve", "x", "y"}));
+}
+
+TEST(StringUtil, WordWalkerSplitsOnTabsAndCarriageReturns) {
+  EXPECT_EQ(words_of("one\ttwo\r\nThree\r"),
+            (std::vector<std::string>{"one", "two", "three"}));
+}
+
+TEST(StringUtil, WordWalkerYieldsWordAtEndOfText) {
+  EXPECT_EQ(words_of("end at EOF"),
+            (std::vector<std::string>{"end", "at", "eof"}));
+  EXPECT_EQ(words_of("x"), (std::vector<std::string>{"x"}));
+  EXPECT_EQ(words_of("'"), (std::vector<std::string>{"'"}));
+}
+
+TEST(StringUtil, WordWalkerViewsLowercaseRunsInPlace) {
+  const std::string text = "abc DEF ghi LongMixedCaseWordPastTheSmallBuffer";
+  std::vector<bool> in_text;
   std::vector<std::string> words;
-  dc::tokenize_words("  ,,, ", words);
-  EXPECT_TRUE(words.empty());
+  dc::for_each_word(text, [&](std::string_view w) {
+    in_text.push_back(w.data() >= text.data() &&
+                      w.data() < text.data() + text.size());
+    words.emplace_back(w);
+  });
+  EXPECT_EQ(in_text, (std::vector<bool>{true, false, true, false}));
+  EXPECT_EQ(words.back(), "longmixedcasewordpastthesmallbuffer");
 }
 
 // ---- units ----

@@ -447,3 +447,118 @@ TEST_P(JobInvariance, OutputIndependentOfSplitLayout) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, JobInvariance,
                          ::testing::Range<std::uint64_t>(600, 606));
+
+// ---- engine grouping vs a naive std::map reference ----
+
+#include "mapred/report_json.hpp"
+
+namespace {
+
+// Emits (key, tag) per record plus, for every third record, a second pair
+// under a longer key, so a task emits several values per key and one record
+// emits to two keys. Tags are unique, so a key's output shows its value
+// order.
+struct TagMapper final : datanet::mapred::Mapper {
+  void map(const dw::RecordView& r, datanet::mapred::Emitter& out) override {
+    out.emit(std::string(r.key), std::string(r.payload));
+    if (r.timestamp % 3 == 0) {
+      out.emit(std::string(r.key) + "/x", std::string(r.payload) + "x");
+    }
+    out.count(r.timestamp % 2 ? "odd" : "even");
+  }
+};
+
+// Concatenation is associative, so a combiner that joins a task's values
+// leaves the reducer's join — every value in task-then-emit order —
+// unchanged.
+struct JoinReducer final : datanet::mapred::Reducer {
+  void reduce(const datanet::mapred::Key& key,
+              std::span<const datanet::mapred::Value> values,
+              datanet::mapred::Emitter& out) override {
+    std::string joined;
+    for (const auto& v : values) {
+      if (!joined.empty()) joined += ',';
+      joined += v;
+    }
+    out.emit(key, std::move(joined));
+    out.count("groups");
+  }
+};
+
+}  // namespace
+
+class EngineGrouping : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(EngineGrouping, MatchesNaiveMapReference) {
+  dc::Rng rng(GetParam());
+  // Keys share a long prefix, and short suffixes over {a, b} make some keys
+  // prefixes of others; numeric suffixes make enough keys to grow the
+  // grouping table several times.
+  const auto random_key = [&] {
+    std::string key = "subdataset/shared/prefix/";
+    if (rng.bounded(2) == 0) {
+      const auto len = rng.bounded(4);
+      for (std::uint64_t i = 0; i < len; ++i) key += rng.bounded(2) ? 'a' : 'b';
+    } else {
+      key += std::to_string(rng.bounded(400));
+    }
+    return key;
+  };
+  std::vector<std::string> blocks(1 + rng.bounded(9));
+  std::map<std::string, std::vector<std::string>> values;
+  std::map<std::string, std::uint64_t> counters;
+  std::uint64_t tag = 0;
+  for (auto& block : blocks) {
+    const auto records = rng.bounded(300);
+    for (std::uint64_t r = 0; r < records; ++r, ++tag) {
+      const std::string key = random_key();
+      const std::string payload = "t" + std::to_string(tag);
+      block += std::to_string(tag) + "\t" + key + "\t" + payload + "\n";
+      values[key].push_back(payload);
+      if (tag % 3 == 0) values[key + "/x"].push_back(payload + "x");
+      ++counters[tag % 2 ? "odd" : "even"];
+    }
+  }
+  std::map<std::string, std::string> expected;
+  for (const auto& [key, vs] : values) {
+    std::string joined;
+    for (const auto& v : vs) joined += (joined.empty() ? "" : ",") + v;
+    expected.emplace(key, joined);
+  }
+  if (!values.empty()) counters["groups"] = values.size();
+
+  std::vector<datanet::mapred::InputSplit> splits;
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    splits.push_back({.node = static_cast<std::uint32_t>(b % 3),
+                      .data = blocks[b],
+                      .charged_bytes = 0});
+  }
+  for (const bool combiner : {false, true}) {
+    for (const std::uint32_t reducers : {1u, 8u}) {
+      datanet::mapred::Job job;
+      job.config.num_reducers = reducers;
+      job.mapper_factory = [] { return std::make_unique<TagMapper>(); };
+      job.reducer_factory = [] { return std::make_unique<JoinReducer>(); };
+      if (combiner) {
+        job.combiner_factory = [] { return std::make_unique<JoinReducer>(); };
+      }
+      std::string first_json;
+      for (const std::uint32_t threads : {1u, 4u}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "combiner=" << combiner << " R=" << reducers
+                     << " threads=" << threads);
+        const datanet::mapred::Engine engine(
+            {.num_nodes = 3, .execution_threads = threads});
+        const auto report = engine.run(job, splits);
+        EXPECT_EQ(report.output, expected);
+        EXPECT_EQ(report.counters, counters);
+        const auto json = datanet::mapred::report_to_json(report, true);
+        if (first_json.empty()) first_json = json;
+        EXPECT_EQ(json, first_json);
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, EngineGrouping,
+                         ::testing::Range<std::uint64_t>(700, 716));
