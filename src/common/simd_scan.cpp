@@ -1,28 +1,15 @@
 #include "common/simd_scan.hpp"
 
-#include <bit>
-#include <cstring>
-#include <stdexcept>
-
-#if (defined(__x86_64__) || defined(_M_X64)) && !defined(DATANET_FORCE_SCALAR)
-#define DATANET_SCAN_X86 1
-#include <immintrin.h>
-#endif
+#include <cstddef>
 
 namespace datanet::common {
 
-namespace {
+ScanKernel active_scan_kernel() noexcept { return ScanKernel::kScalar; }
 
-constexpr std::size_t kNoTab = static_cast<std::size_t>(-1);
+const char* scan_kernel_name(ScanKernel) noexcept { return "scalar"; }
 
-// One mask refill covers 64 words x 64 bytes = 4 KiB of data; the walker
-// below consumes the masks with pure bit arithmetic.
-constexpr std::size_t kWordsPerChunk = 64;
-
-// ---- portable reference kernels (memchr-driven, the pre-SIMD loops) ----
-
-void scan_key_lines_scalar(std::string_view data, std::string_view key,
-                           void* ctx, LineSink sink) {
+void scan_key_lines(std::string_view data, std::string_view key, void* ctx,
+                    LineSink sink) {
   std::size_t start = 0;
   while (start < data.size()) {
     std::size_t end = data.find('\n', start);
@@ -41,7 +28,7 @@ void scan_key_lines_scalar(std::string_view data, std::string_view key,
   }
 }
 
-void scan_lines_scalar(std::string_view data, void* ctx, LineSink sink) {
+void scan_lines(std::string_view data, void* ctx, LineSink sink) {
   std::size_t start = 0;
   while (start < data.size()) {
     std::size_t end = data.find('\n', start);
@@ -51,259 +38,6 @@ void scan_lines_scalar(std::string_view data, void* ctx, LineSink sink) {
     if (!line.empty()) sink(ctx, line);
     start = end + 1;
   }
-}
-
-// ---- mask producers (one per ISA) ----
-
-// Fill nl[w]/tab[w] with '\n' / '\t' occurrence bitmasks for `words` full
-// 64-byte words starting at p (bit i of word w = byte p[64*w + i]).
-using MaskFillFn = void (*)(const char* p, std::size_t words, std::uint64_t* nl,
-                            std::uint64_t* tab);
-
-#if defined(DATANET_SCAN_X86)
-
-void fill_masks_sse2(const char* p, std::size_t words, std::uint64_t* nl,
-                     std::uint64_t* tab) {
-  const __m128i vnl = _mm_set1_epi8('\n');
-  const __m128i vtab = _mm_set1_epi8('\t');
-  for (std::size_t w = 0; w < words; ++w) {
-    std::uint64_t mn = 0, mt = 0;
-    for (int i = 0; i < 4; ++i) {
-      const __m128i v = _mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(p + 64 * w + 16 * i));
-      mn |= static_cast<std::uint64_t>(
-                static_cast<std::uint32_t>(_mm_movemask_epi8(_mm_cmpeq_epi8(v, vnl))))
-            << (16 * i);
-      mt |= static_cast<std::uint64_t>(
-                static_cast<std::uint32_t>(_mm_movemask_epi8(_mm_cmpeq_epi8(v, vtab))))
-            << (16 * i);
-    }
-    nl[w] = mn;
-    tab[w] = mt;
-  }
-}
-
-__attribute__((target("avx2"))) void fill_masks_avx2(const char* p,
-                                                     std::size_t words,
-                                                     std::uint64_t* nl,
-                                                     std::uint64_t* tab) {
-  const __m256i vnl = _mm256_set1_epi8('\n');
-  const __m256i vtab = _mm256_set1_epi8('\t');
-  for (std::size_t w = 0; w < words; ++w) {
-    const __m256i lo = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(p + 64 * w));
-    const __m256i hi = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(p + 64 * w + 32));
-    nl[w] = static_cast<std::uint32_t>(
-                _mm256_movemask_epi8(_mm256_cmpeq_epi8(lo, vnl))) |
-            (static_cast<std::uint64_t>(static_cast<std::uint32_t>(
-                 _mm256_movemask_epi8(_mm256_cmpeq_epi8(hi, vnl))))
-             << 32);
-    tab[w] = static_cast<std::uint32_t>(
-                 _mm256_movemask_epi8(_mm256_cmpeq_epi8(lo, vtab))) |
-             (static_cast<std::uint64_t>(static_cast<std::uint32_t>(
-                  _mm256_movemask_epi8(_mm256_cmpeq_epi8(hi, vtab))))
-              << 32);
-  }
-}
-
-#endif  // DATANET_SCAN_X86
-
-// Scalar mask build for the final partial word (< 64 bytes).
-void fill_tail_word(const char* p, std::size_t len, std::uint64_t* nl,
-                    std::uint64_t* tab) {
-  std::uint64_t mn = 0, mt = 0;
-  for (std::size_t i = 0; i < len; ++i) {
-    mn |= static_cast<std::uint64_t>(p[i] == '\n') << i;
-    mt |= static_cast<std::uint64_t>(p[i] == '\t') << i;
-  }
-  *nl = mn;
-  *tab = mt;
-}
-
-// Clear bits 0..k (inclusive) of m; k <= 63.
-inline std::uint64_t clear_through(std::uint64_t m, std::size_t k) {
-  return k >= 63 ? 0 : m & ~((std::uint64_t{1} << (k + 1)) - 1);
-}
-
-// CRLF contract shared by every kernel: one trailing '\r' per line is not
-// part of the line. `end` is the newline offset (or n at end-of-data).
-inline std::size_t strip_cr(const char* base, std::size_t cur,
-                            std::size_t end) {
-  return (end > cur && base[end - 1] == '\r') ? end - 1 : end;
-}
-
-// The shared candidate test, byte-identical to the scalar reference: the
-// line's key field (first tab exclusive to second tab exclusive) == key.
-// `tab` is the absolute offset of the line's first tab, kNoTab when none.
-inline void emit_if_candidate(const char* base, std::size_t cur,
-                              std::size_t end, std::size_t tab,
-                              std::string_view key, void* ctx, LineSink sink) {
-  if (tab == kNoTab) return;
-  const std::size_t rest = tab + 1;
-  const std::size_t rest_len = end - rest;
-  if (rest_len <= key.size()) return;
-  if (base[rest + key.size()] != '\t') return;
-  if (std::memcmp(base + rest, key.data(), key.size()) != 0) return;
-  sink(ctx, std::string_view(base + cur, end - cur));
-}
-
-// Mask-driven line walk. Invariant at word entry: every newline in earlier
-// words has been consumed, so the current line start `cur` is <= the word
-// base and leftover tabs of the open line are already folded into `tab`.
-template <bool kWantKey>
-void walk_masked(std::string_view data, std::string_view key, void* ctx,
-                 LineSink sink, MaskFillFn fill) {
-  const char* base = data.data();
-  const std::size_t n = data.size();
-  std::uint64_t nl_masks[kWordsPerChunk];
-  std::uint64_t tab_masks[kWordsPerChunk];
-
-  std::size_t cur = 0;
-  std::size_t tab = kNoTab;
-  std::size_t chunk = 0;
-  while (chunk < n) {
-    std::size_t words = std::min((n - chunk) / 64, kWordsPerChunk);
-    if (words > 0) fill(base + chunk, words, nl_masks, tab_masks);
-    std::size_t covered = words * 64;
-    if (words < kWordsPerChunk && chunk + covered < n) {
-      fill_tail_word(base + chunk + covered, n - chunk - covered,
-                     &nl_masks[words], &tab_masks[words]);
-      covered = n - chunk;
-      ++words;
-    }
-    for (std::size_t w = 0; w < words; ++w) {
-      const std::size_t wbase = chunk + w * 64;
-      std::uint64_t nl = nl_masks[w];
-      std::uint64_t tb = tab_masks[w];
-      while (nl) {
-        const std::size_t bit = static_cast<std::size_t>(std::countr_zero(nl));
-        const std::size_t end = wbase + bit;
-        const std::size_t stripped = strip_cr(base, cur, end);
-        if (kWantKey) {
-          if (tab == kNoTab) {
-            const std::uint64_t before =
-                tb & ((bit == 0) ? 0 : ((std::uint64_t{1} << bit) - 1));
-            if (before) {
-              tab = wbase + static_cast<std::size_t>(std::countr_zero(before));
-            }
-          }
-          emit_if_candidate(base, cur, stripped, tab, key, ctx, sink);
-          tb = clear_through(tb, bit);
-          tab = kNoTab;
-        } else if (stripped > cur) {
-          sink(ctx, std::string_view(base + cur, stripped - cur));
-        }
-        nl &= nl - 1;
-        cur = end + 1;
-      }
-      if (kWantKey && tab == kNoTab && tb != 0) {
-        tab = wbase + static_cast<std::size_t>(std::countr_zero(tb));
-      }
-    }
-    chunk += covered;
-  }
-  if (cur < n) {
-    const std::size_t stripped = strip_cr(base, cur, n);
-    if (kWantKey) {
-      emit_if_candidate(base, cur, stripped, tab, key, ctx, sink);
-    } else if (stripped > cur) {
-      sink(ctx, std::string_view(base + cur, stripped - cur));
-    }
-  }
-}
-
-ScanKernel detect_kernel() noexcept {
-#if defined(DATANET_SCAN_X86)
-  return __builtin_cpu_supports("avx2") ? ScanKernel::kAvx2 : ScanKernel::kSse2;
-#else
-  return ScanKernel::kScalar;
-#endif
-}
-
-#if defined(DATANET_SCAN_X86)
-MaskFillFn fill_fn_for(ScanKernel kernel) noexcept {
-  return kernel == ScanKernel::kAvx2 ? fill_masks_avx2 : fill_masks_sse2;
-}
-#endif
-
-void require_available(ScanKernel kernel) {
-  if (!scan_kernel_available(kernel)) {
-    throw std::invalid_argument(std::string("scan kernel unavailable here: ") +
-                                scan_kernel_name(kernel));
-  }
-}
-
-}  // namespace
-
-ScanKernel active_scan_kernel() noexcept {
-  static const ScanKernel kernel = detect_kernel();
-  return kernel;
-}
-
-bool scan_kernel_available(ScanKernel kernel) noexcept {
-  switch (kernel) {
-    case ScanKernel::kScalar:
-      return true;
-    case ScanKernel::kSse2:
-#if defined(DATANET_SCAN_X86)
-      return true;
-#else
-      return false;
-#endif
-    case ScanKernel::kAvx2:
-#if defined(DATANET_SCAN_X86)
-      return __builtin_cpu_supports("avx2");
-#else
-      return false;
-#endif
-  }
-  return false;
-}
-
-const char* scan_kernel_name(ScanKernel kernel) noexcept {
-  switch (kernel) {
-    case ScanKernel::kScalar:
-      return "scalar";
-    case ScanKernel::kSse2:
-      return "sse2";
-    case ScanKernel::kAvx2:
-      return "avx2";
-  }
-  return "?";
-}
-
-void scan_key_lines(std::string_view data, std::string_view key, void* ctx,
-                    LineSink sink) {
-  scan_key_lines(data, key, ctx, sink, active_scan_kernel());
-}
-
-void scan_key_lines(std::string_view data, std::string_view key, void* ctx,
-                    LineSink sink, ScanKernel kernel) {
-  require_available(kernel);
-#if defined(DATANET_SCAN_X86)
-  if (kernel != ScanKernel::kScalar) {
-    walk_masked<true>(data, key, ctx, sink, fill_fn_for(kernel));
-    return;
-  }
-#endif
-  scan_key_lines_scalar(data, key, ctx, sink);
-}
-
-void scan_lines(std::string_view data, void* ctx, LineSink sink) {
-  scan_lines(data, ctx, sink, active_scan_kernel());
-}
-
-void scan_lines(std::string_view data, void* ctx, LineSink sink,
-                ScanKernel kernel) {
-  require_available(kernel);
-#if defined(DATANET_SCAN_X86)
-  if (kernel != ScanKernel::kScalar) {
-    walk_masked<false>(data, {}, ctx, sink, fill_fn_for(kernel));
-    return;
-  }
-#endif
-  scan_lines_scalar(data, ctx, sink);
 }
 
 }  // namespace datanet::common

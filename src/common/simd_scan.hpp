@@ -1,35 +1,27 @@
 #pragma once
-// Vectorized record-line scanning for the selection hot loop. The scanner
-// walks newline-separated data in 64-byte stripes, building '\n' and '\t'
-// bitmasks with SIMD compares (AVX2 when the CPU has it, SSE2 as the x86-64
-// baseline) and iterating set bits — so per-line work is bit arithmetic, not
-// two memchr calls per ~80-byte line. A portable scalar kernel is the
-// reference implementation: every kernel must produce byte-identical
-// callback sequences on any input (tests/hotpath_test.cpp fuzzes every
-// alignment offset and degenerate shape).
+// Record-line scanning for the selection hot loop: memchr-driven splitting of
+// newline-separated data with the exact key-field test on each line. Per-line
+// work is one find('\n') plus a find('\t') and a memcmp, which measured as
+// fast as 64-byte SSE2/AVX2 bitmask stripes on this workload's ~80-byte
+// lines (EXPERIMENTS.md, hot path), so it is the only kernel.
 //
-// The kernel is chosen once per process (runtime CPU dispatch). Building
-// with -DDATANET_FORCE_SCALAR=ON pins the scalar kernel so CI can cover the
-// portable path on any machine.
+// The file keeps its historical name and the ScanKernel / active_scan_kernel
+// / scan_kernel_name surface because the benchmark harness (perfbench/)
+// includes this header and stamps the kernel name into every run.
 
-#include <cstddef>
 #include <cstdint>
 #include <string_view>
 
 namespace datanet::common {
 
-enum class ScanKernel : std::uint8_t { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
+enum class ScanKernel : std::uint8_t { kScalar = 0 };
 
-// The kernel the dispatcher selected for this process (cached after the
-// first call). kScalar everywhere off x86-64 or under DATANET_FORCE_SCALAR.
+// Always kScalar: the one memchr kernel.
 [[nodiscard]] ScanKernel active_scan_kernel() noexcept;
-
-// True when `kernel` can run on this build + CPU (kScalar always can).
-[[nodiscard]] bool scan_kernel_available(ScanKernel kernel) noexcept;
 
 [[nodiscard]] const char* scan_kernel_name(ScanKernel kernel) noexcept;
 
-// Plain-function sinks keep the kernels out of the header; candidate lines
+// Plain-function sinks keep the loops out of the header; candidate lines
 // are rare (sub-dataset selectivity), so the indirect call is off the
 // per-byte path.
 using LineSink = void (*)(void* ctx, std::string_view line);
@@ -40,27 +32,13 @@ using LineSink = void (*)(void* ctx, std::string_view line);
 // terminator has exactly one trailing '\r' stripped before matching and
 // emission, so Windows-style records never leak '\r' into their last field.
 // Lines without two tabs around a key-sized field never match.
-// Byte-compatible with the scalar loop
-//   if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-//   tab = line.find('\t'); rest = line.substr(tab + 1);
-//   rest.size() > key.size() && rest[key.size()] == '\t' &&
-//   rest.compare(0, key.size(), key) == 0
-// for every input, including empty lines and embedded partial prefixes.
 void scan_key_lines(std::string_view data, std::string_view key, void* ctx,
                     LineSink sink);
 
-// Same, on an explicit kernel (equivalence tests and the kernel bench).
-// Throws std::invalid_argument when the kernel is unavailable here.
-void scan_key_lines(std::string_view data, std::string_view key, void* ctx,
-                    LineSink sink, ScanKernel kernel);
-
 // Invoke `sink` for every non-empty line of `data` (split on '\n', final
 // line included without one). One trailing '\r' per line is stripped before
-// the empty test, so "\r\n" blank lines are skipped like "\n" ones. The
-// vectorized sibling of the scalar find('\n') loop; used by the decode-all
-// reference filter.
+// the empty test, so "\r\n" blank lines are skipped like "\n" ones. Used by
+// workload::for_each_record and the decode-all reference filter.
 void scan_lines(std::string_view data, void* ctx, LineSink sink);
-void scan_lines(std::string_view data, void* ctx, LineSink sink,
-                ScanKernel kernel);
 
 }  // namespace datanet::common

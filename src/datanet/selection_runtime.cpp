@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "apps/filter.hpp"
+#include "common/simd_scan.hpp"
 #include "dfs/replication_monitor.hpp"
 #include "workload/record.hpp"
 
@@ -183,48 +184,13 @@ SelectionResult SelectionRuntime::run_graph(const dfs::MiniDfs& dfs,
   std::vector<mapred::InputSplit> splits;
   std::uint64_t retries = 0;
   mapred::AttemptCounters counters;
-  // One pin slot per task, held at function scope: splits (and task_data in
-  // the tracked loop) are string_views into pinned DFS bytes, and the timing
+  // One pin slot per task, held at function scope: splits (and task_data
+  // below) are string_views into pinned DFS bytes, and the timing
   // backend's report() below is their last consumer — so the pins must
   // outlive it. Re-executions overwrite a task's slot, releasing the old pin.
   std::vector<dfs::BlockPin> task_pins(num_tasks);
 
-  // Pay-as-you-go bookkeeping: with no fault policy armed and no monitor
-  // attached, nothing in the tracked loop below can ever fire — every task
-  // executes exactly once on its assigned node in task order. The fast path
-  // replays that schedule with zero per-task tracker/heap state and filters
-  // straight into the node-local buffers (the tracked loop's per-task output
-  // staging exists only so retries can discard partial work). Reports stay
-  // bit-identical: dispatch order, split order, charge accounting, and the
-  // lost-block path match the tracked loop's clean execution exactly. The
-  // one precondition checked up front is that every assigned node is active
-  // (a pre-damaged cluster re-routes via the tracked loop's failover logic).
-  bool fast_clean = materialize && !faults_->armed() && monitor_ == nullptr;
-  if (fast_clean) {
-    for (std::size_t j = 0; j < num_tasks && fast_clean; ++j) {
-      fast_clean = dfs.is_active(result.assignment.block_to_node[j]);
-    }
-  }
-
-  if (fast_clean) {
-    splits.reserve(num_tasks);
-    for (std::size_t j = 0; j < num_tasks; ++j) {
-      const dfs::NodeId node = result.assignment.block_to_node[j];
-      const dfs::BlockId bid = graph.block(j).block_id;
-      ReplicaRead read = read_->read(bid, node);
-      task_pins[j] = std::move(read.pin);
-      retries += read.failed_attempts;
-      if (!read.ok) {
-        result.lost_block_ids.push_back(bid);
-        continue;
-      }
-      result.node_filtered_bytes[node] +=
-          filter_lines(read.data, key, result.node_local_data[node]);
-      splits.push_back(mapred::InputSplit{
-          .node = node, .data = read.data, .charged_bytes = read.charged_bytes});
-    }
-    counters.attempts = num_tasks;  // one dispatch per task, nothing else
-  } else if (materialize) {
+  if (materialize) {
     // Per-task state. Output is buffered per task (not per node) so a killed
     // node's contribution can be discarded and rebuilt deterministically.
     std::vector<std::string> task_output(num_tasks);
@@ -460,13 +426,23 @@ SelectionResult SelectionRuntime::run_graph(const dfs::MiniDfs& dfs,
     }
 
     // Rebuild the node-local view in task order, so the final buffers are
-    // independent of the retry history.
+    // independent of the retry history. Node buffers are sized exactly
+    // first and each task's staging buffer is released once copied, which
+    // keeps the staging from doubling peak memory.
+    for (std::size_t j = 0; j < num_tasks; ++j) {
+      if (!done[j]) continue;
+      result.node_filtered_bytes[result.assignment.block_to_node[j]] +=
+          task_output[j].size();
+    }
+    for (dfs::NodeId n = 0; n < cfg.num_nodes; ++n) {
+      result.node_local_data[n].reserve(result.node_filtered_bytes[n]);
+    }
     splits.reserve(num_tasks);
     for (std::size_t j = 0; j < num_tasks; ++j) {
       if (!done[j]) continue;
       const dfs::NodeId node = result.assignment.block_to_node[j];
       result.node_local_data[node].append(task_output[j]);
-      result.node_filtered_bytes[node] += task_output[j].size();
+      std::string().swap(task_output[j]);
       splits.push_back(mapred::InputSplit{
           .node = node, .data = task_data[j], .charged_bytes = task_charge[j]});
     }
@@ -523,7 +499,7 @@ SelectionResult SelectionRuntime::run_graph(const dfs::MiniDfs& dfs,
 
 namespace {
 
-// Sink state for the scan kernels: candidate lines (key field already
+// Sink state for the line scanners: candidate lines (key field already
 // matched byte-exact by the scanner) still pay the full decode, which
 // validates the timestamp before the line is kept.
 struct FilterSink {
@@ -545,13 +521,8 @@ struct FilterSink {
 
 std::uint64_t filter_lines(std::string_view data, const std::string& key,
                            std::string& out) {
-  return filter_lines(data, key, out, common::active_scan_kernel());
-}
-
-std::uint64_t filter_lines(std::string_view data, const std::string& key,
-                           std::string& out, common::ScanKernel kernel) {
   FilterSink sink{&key, &out};
-  common::scan_key_lines(data, key, &sink, &FilterSink::keep_candidate, kernel);
+  common::scan_key_lines(data, key, &sink, &FilterSink::keep_candidate);
   return sink.appended;
 }
 

@@ -40,7 +40,6 @@
 #include <string_view>
 #include <vector>
 
-#include "common/simd_scan.hpp"
 #include "datanet/attempt_tracker.hpp"
 #include "datanet/experiment.hpp"
 #include "dfs/fault_injector.hpp"
@@ -110,13 +109,6 @@ class ChecksumRetryReadPolicy final : public ReplicaReadPolicy {
 class FaultPolicy {
  public:
   virtual ~FaultPolicy() = default;
-  // Whether this policy can ever fire a fault. When false (and no
-  // ReplicationMonitor is attached) the runtime takes the bookkeeping-free
-  // fast path: no AttemptTracker state, no advance()/is_stalled()/
-  // take_transient_read_failure() probes, no monitor ticks — chosen once per
-  // run, with reports bit-identical to the tracked clean run. Defaults to
-  // true: a custom policy must opt in to being skippable.
-  [[nodiscard]] virtual bool armed() const { return true; }
   // Called with the number of executed task attempts so far (0 before the
   // first); applies due faults and returns true when a node kill fired —
   // the runtime then re-enqueues the dead node's pending AND completed work.
@@ -137,7 +129,6 @@ class FaultPolicy {
 // The empty plan: no events, ever.
 class NoFaults final : public FaultPolicy {
  public:
-  [[nodiscard]] bool armed() const override { return false; }
   bool advance(std::uint64_t) override { return false; }
 };
 
@@ -268,16 +259,11 @@ class SelectionRuntime {
 
 // Copy the record lines of `data` whose key equals `key` into `out`; returns
 // the bytes appended (lines kept verbatim, '\n' restored). Line splitting
-// and the exact key-field test run in common::scan_key_lines — SIMD '\n'/'\t'
-// bitmask scanning under runtime CPU dispatch — so only candidate lines pay
-// the full workload::decode_record (which still validates the timestamp
-// before the line is kept). See bench_hotpath for scalar-vs-SIMD deltas.
+// and the exact key-field test run in common::scan_key_lines (memchr line
+// splitting), so only candidate lines pay the full workload::decode_record
+// (which still validates the timestamp before the line is kept).
 std::uint64_t filter_lines(std::string_view data, const std::string& key,
                            std::string& out);
-
-// Same, pinned to one scan kernel (equivalence fuzz + the kernel bench).
-std::uint64_t filter_lines(std::string_view data, const std::string& key,
-                           std::string& out, common::ScanKernel kernel);
 
 // Reference implementation (full decode of every line); kept for the
 // equivalence test and the bench comparison.

@@ -298,9 +298,9 @@ JobReport Engine::run(const Job& job, const std::vector<InputSplit>& splits) con
         auto hashed = hash_pairs(std::move(emitter.pairs()), arena);
         if (job.combiner_factory) {
           auto combiner = job.combiner_factory();
-          hashed =
-              hash_pairs(reduce_pairs(*combiner, std::move(hashed), arena),
-                         arena);
+          hashed = hash_pairs(reduce_pairs(*combiner, std::move(hashed),
+                                           arena, &r.counters),
+                              arena);
         }
         r.pair_count = hashed.size();
         r.partitions.reserve(R);

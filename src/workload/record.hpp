@@ -47,7 +47,7 @@ struct RecordView {
 
 // Invoke fn(RecordView) for each well-formed line in a block's bytes;
 // malformed lines are counted and skipped. Returns number of skipped lines.
-// Line splitting rides the SIMD scanner (empty lines never reach the
+// Line splitting rides common::scan_lines (empty lines never reach the
 // decoder, exactly as the old find('\n') loop skipped them).
 template <typename Fn>
 std::uint64_t for_each_record(std::string_view block_bytes, Fn&& fn) {

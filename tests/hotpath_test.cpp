@@ -1,10 +1,11 @@
-// PR 6 hot-path coverage: SIMD-vs-scalar scan equivalence fuzzing (every
-// alignment offset 0..63, empty lines, partial key prefixes, missing final
-// newline), Arena/ArenaAllocator unit tests, the armed-vs-unarmed
-// bookkeeping fast path producing bit-identical SelectionResults across all
-// schedulers and thread counts, the O(1) under-replication counter against
-// fsck after every mutation kind, the ReplicationMonitor's epoch-gated scan
-// skip, and parallel_for's inline small-range fast path.
+// Hot-path coverage: the line scanners against independent reference
+// splitters (every alignment offset 0..63, empty lines, partial key
+// prefixes, CRLF terminators, missing final newline), Arena/ArenaAllocator
+// unit tests, NoFaults and an empty InjectedFaults plan producing
+// bit-identical SelectionResults across all schedulers and thread counts,
+// the O(1) under-replication counter against fsck after every mutation
+// kind, the ReplicationMonitor's epoch-gated scan skip, and parallel_for's
+// inline small-range fast path.
 
 #include <gtest/gtest.h>
 
@@ -40,16 +41,7 @@ namespace dsch = datanet::scheduler;
 
 namespace {
 
-std::vector<dco::ScanKernel> available_kernels() {
-  std::vector<dco::ScanKernel> v;
-  for (const auto k : {dco::ScanKernel::kScalar, dco::ScanKernel::kSse2,
-                       dco::ScanKernel::kAvx2}) {
-    if (dco::scan_kernel_available(k)) v.push_back(k);
-  }
-  return v;
-}
-
-// Independent reference for scan_key_lines: the exact pre-SIMD predicate,
+// Independent reference for scan_key_lines: the exact key-field predicate,
 // written with std::string_view primitives only.
 std::vector<std::string> reference_key_lines(std::string_view data,
                                              std::string_view key) {
@@ -96,42 +88,41 @@ struct Collect {
   }
 };
 
-std::vector<std::string> kernel_key_lines(std::string_view data,
-                                          std::string_view key,
-                                          dco::ScanKernel kernel) {
+std::vector<std::string> scanned_key_lines(std::string_view data,
+                                           std::string_view key) {
   Collect c;
-  dco::scan_key_lines(data, key, &c, &Collect::sink, kernel);
+  dco::scan_key_lines(data, key, &c, &Collect::sink);
   return std::move(c.lines);
 }
 
-std::vector<std::string> kernel_lines(std::string_view data,
-                                      dco::ScanKernel kernel) {
+std::vector<std::string> scanned_lines(std::string_view data) {
   Collect c;
-  dco::scan_lines(data, &c, &Collect::sink, kernel);
+  dco::scan_lines(data, &c, &Collect::sink);
   return std::move(c.lines);
 }
 
-// Every kernel must reproduce the reference callback sequence on `corpus`
-// viewed at every alignment offset 0..63 (the SIMD stripes see the same
-// bytes at every phase of the 64-byte window).
-void expect_equivalent_at_all_alignments(const std::string& corpus,
-                                         const std::string& key,
-                                         const std::string& label) {
+// Call fn(view, offset) with `corpus` copied to every alignment offset
+// 0..63 (a line may start at any phase of a word or cache line).
+template <typename Fn>
+void at_all_alignments(const std::string& corpus, Fn&& fn) {
   std::vector<char> buf(corpus.size() + 64);
   for (std::size_t off = 0; off < 64; ++off) {
     std::memcpy(buf.data() + off, corpus.data(), corpus.size());
-    const std::string_view view(buf.data() + off, corpus.size());
-    const auto want_key = reference_key_lines(view, key);
-    const auto want_all = reference_lines(view);
-    for (const auto kernel : available_kernels()) {
-      EXPECT_EQ(kernel_key_lines(view, key, kernel), want_key)
-          << label << " key-scan kernel=" << dco::scan_kernel_name(kernel)
-          << " offset=" << off;
-      EXPECT_EQ(kernel_lines(view, kernel), want_all)
-          << label << " line-scan kernel=" << dco::scan_kernel_name(kernel)
-          << " offset=" << off;
-    }
+    fn(std::string_view(buf.data() + off, corpus.size()), off);
   }
+}
+
+// The scanners must reproduce the reference callback sequence on `corpus`
+// at every alignment offset.
+void expect_equivalent_at_all_alignments(const std::string& corpus,
+                                         const std::string& key,
+                                         const std::string& label) {
+  at_all_alignments(corpus, [&](std::string_view view, std::size_t off) {
+    EXPECT_EQ(scanned_key_lines(view, key), reference_key_lines(view, key))
+        << label << " key-scan offset=" << off;
+    EXPECT_EQ(scanned_lines(view), reference_lines(view))
+        << label << " line-scan offset=" << off;
+  });
 }
 
 dc::ExperimentConfig small_config() {
@@ -165,7 +156,9 @@ void expect_identical(const dc::SelectionResult& a, const dc::SelectionResult& b
 
 }  // namespace
 
-// ---- SIMD-vs-scalar equivalence ----
+// ---- scanners vs the reference splitters ----
+// (Suite and test names predate the single memchr kernel; they are kept so
+// test ids stay stable across history.)
 
 TEST(SimdScan, DegenerateShapesAllKernelsAllAlignments) {
   const std::string key = "movie_1";
@@ -243,7 +236,7 @@ TEST(SimdScan, FuzzRandomCorporaAllKernelsAllAlignments) {
           corpus += "\t\t\t";
           break;
       }
-      // A third of the lines end Windows-style; kernels must treat "\r\n"
+      // A third of the lines end Windows-style; the scanners must treat "\r\n"
       // and "\n" terminators identically.
       if (line_kind(rng) < 2) corpus += '\r';
       corpus += '\n';
@@ -256,7 +249,7 @@ TEST(SimdScan, FuzzRandomCorporaAllKernelsAllAlignments) {
 
 TEST(SimdScan, FilterLinesMatchesDecodeAllReferenceOnEveryKernel) {
   // filter_lines (candidate pre-scan + decode) must keep exactly the lines
-  // the decode-every-line reference keeps, on every kernel.
+  // the decode-every-line reference keeps, at every alignment offset.
   std::string corpus;
   for (int i = 0; i < 500; ++i) {
     corpus += std::to_string(1000 + i) + "\tkey_" + std::to_string(i % 7) +
@@ -264,27 +257,14 @@ TEST(SimdScan, FilterLinesMatchesDecodeAllReferenceOnEveryKernel) {
   }
   corpus += "not a record\n123\tkey_3\n";  // malformed tails
   const std::string key = "key_3";
-  std::string want;
-  const auto want_bytes = dc::filter_lines_decode_all(corpus, key, want);
-  for (const auto kernel : available_kernels()) {
+  at_all_alignments(corpus, [&](std::string_view view, std::size_t off) {
+    std::string want;
+    const auto want_bytes = dc::filter_lines_decode_all(view, key, want);
     std::string got;
-    const auto got_bytes = dc::filter_lines(corpus, key, got, kernel);
-    EXPECT_EQ(got, want) << dco::scan_kernel_name(kernel);
-    EXPECT_EQ(got_bytes, want_bytes) << dco::scan_kernel_name(kernel);
-  }
-}
-
-TEST(SimdScan, DispatcherAndAvailability) {
-  EXPECT_TRUE(dco::scan_kernel_available(dco::ScanKernel::kScalar));
-  EXPECT_TRUE(dco::scan_kernel_available(dco::active_scan_kernel()));
-  // An explicitly-requested unavailable kernel throws instead of silently
-  // falling back (the bench must never mislabel a series).
-  for (const auto k : {dco::ScanKernel::kSse2, dco::ScanKernel::kAvx2}) {
-    if (dco::scan_kernel_available(k)) continue;
-    Collect c;
-    EXPECT_THROW(dco::scan_lines("x\n", &c, &Collect::sink, k),
-                 std::invalid_argument);
-  }
+    const auto got_bytes = dc::filter_lines(view, key, got);
+    EXPECT_EQ(got, want) << "offset=" << off;
+    EXPECT_EQ(got_bytes, want_bytes) << "offset=" << off;
+  });
 }
 
 // ---- Arena ----
@@ -362,9 +342,9 @@ TEST(Arena, ArenaVectorGrowsCorrectly) {
   EXPECT_EQ(s[99], "value_99" + std::string(99, 'x'));
 }
 
-// ---- armed vs unarmed fast path ----
+// ---- NoFaults vs an empty injected plan ----
 
-TEST(HotPath, ArmedAndUnarmedReportsBitIdenticalAllSchedulersAllThreads) {
+TEST(HotPath, NoFaultsMatchesEmptyInjectedPlanAllSchedulersAllThreads) {
   auto cfg = small_config();
   const auto ds = dc::make_movie_dataset(cfg, 48, 300);
   const dc::DataNet net(*ds.dfs, ds.path, {.alpha = 0.3});
@@ -377,30 +357,20 @@ TEST(HotPath, ArmedAndUnarmedReportsBitIdenticalAllSchedulersAllThreads) {
         if (other->name() != sched->name()) continue;
         dc::DirectReadPolicy read(*ds.dfs, cfg.remote_read_penalty);
         dc::AnalyticBackend timing;
-        dc::NoFaults none;  // unarmed: the bookkeeping-free fast path
-        const auto unarmed = dc::SelectionRuntime(read, none, timing)
-                                 .run(*ds.dfs, ds.path, key, *sched, &net, cfg);
-        dfs::FaultInjector injector(*ds.dfs, {});  // empty plan, still armed
-        dc::InjectedFaults armed_policy(injector);
-        const auto armed =
-            dc::SelectionRuntime(read, armed_policy, timing)
+        dc::NoFaults none;
+        const auto clean = dc::SelectionRuntime(read, none, timing)
+                               .run(*ds.dfs, ds.path, key, *sched, &net, cfg);
+        dfs::FaultInjector injector(*ds.dfs, {});  // empty plan
+        dc::InjectedFaults injected(injector);
+        const auto empty_plan =
+            dc::SelectionRuntime(read, injected, timing)
                 .run(*ds.dfs, ds.path, key, *other, &net, cfg);
-        expect_identical(unarmed, armed,
+        expect_identical(clean, empty_plan,
                          std::string(sched->name()) + "/threads=" +
                              std::to_string(threads));
       }
     }
   }
-}
-
-TEST(HotPath, ArmedFlagDefaults) {
-  dc::NoFaults none;
-  EXPECT_FALSE(none.armed());
-  auto cfg = small_config();
-  const auto ds = dc::make_movie_dataset(cfg, 8, 50);
-  dfs::FaultInjector injector(*ds.dfs, {});
-  dc::InjectedFaults injected(injector);
-  EXPECT_TRUE(injected.armed());  // custom policies must opt in to skipping
 }
 
 // ---- O(1) under-replication counter vs fsck ----

@@ -366,6 +366,30 @@ TEST(Counters, DeterministicAcrossThreadCounts) {
   EXPECT_EQ(e1.run(job, splits).counters, e8.run(job, splits).counters);
 }
 
+TEST(Counters, CombinerCountsReachReportAtEveryThreadCount) {
+  // A combiner's Emitter::count calls are part of the job's counters, just
+  // like a mapper's or a reducer's. Each map task combines its own keys, so
+  // "keys_reduced" sums the distinct keys of every split.
+  const auto b1 = make_block({{"a", 3}, {"b", 2}});
+  const auto b2 = make_block({{"a", 1}, {"c", 4}});
+  dm::Job job;
+  job.config.num_reducers = 4;
+  job.mapper_factory = [] { return std::make_unique<CountingMapper>(); };
+  job.reducer_factory = [] { return std::make_unique<SumReducer>(); };
+  job.combiner_factory = [] { return std::make_unique<CountingReducer>(); };
+  const std::vector<dm::InputSplit> splits = {
+      {.node = 0, .data = b1, .charged_bytes = 0},
+      {.node = 1, .data = b2, .charged_bytes = 0}};
+  for (const std::uint32_t threads : {1u, 4u}) {
+    dm::Engine engine({.num_nodes = 2, .execution_threads = threads});
+    const auto report = engine.run(job, splits);
+    const std::map<std::string, std::uint64_t> want = {
+        {"a_records", 8}, {"keys_reduced", 4}, {"records_seen", 10}};
+    EXPECT_EQ(report.counters, want) << "threads=" << threads;
+    EXPECT_EQ(report.output.at("a"), "4") << "threads=" << threads;
+  }
+}
+
 TEST(Counters, AbsentWhenUnused) {
   const auto b = make_block({{"a", 2}});
   dm::Engine engine({.num_nodes = 1});

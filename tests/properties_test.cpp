@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <map>
 #include <numeric>
+#include <set>
 
 #include "common/rng.hpp"
 #include "dfs/mini_dfs.hpp"
@@ -507,17 +508,25 @@ TEST_P(EngineGrouping, MatchesNaiveMapReference) {
   std::vector<std::string> blocks(1 + rng.bounded(9));
   std::map<std::string, std::vector<std::string>> values;
   std::map<std::string, std::uint64_t> counters;
+  // A combiner counts "groups" too: once per distinct key of each split.
+  std::uint64_t combiner_groups = 0;
   std::uint64_t tag = 0;
   for (auto& block : blocks) {
     const auto records = rng.bounded(300);
+    std::set<std::string> block_keys;
     for (std::uint64_t r = 0; r < records; ++r, ++tag) {
       const std::string key = random_key();
       const std::string payload = "t" + std::to_string(tag);
       block += std::to_string(tag) + "\t" + key + "\t" + payload + "\n";
       values[key].push_back(payload);
-      if (tag % 3 == 0) values[key + "/x"].push_back(payload + "x");
+      block_keys.insert(key);
+      if (tag % 3 == 0) {
+        values[key + "/x"].push_back(payload + "x");
+        block_keys.insert(key + "/x");
+      }
       ++counters[tag % 2 ? "odd" : "even"];
     }
+    combiner_groups += block_keys.size();
   }
   std::map<std::string, std::string> expected;
   for (const auto& [key, vs] : values) {
@@ -539,8 +548,10 @@ TEST_P(EngineGrouping, MatchesNaiveMapReference) {
       job.config.num_reducers = reducers;
       job.mapper_factory = [] { return std::make_unique<TagMapper>(); };
       job.reducer_factory = [] { return std::make_unique<JoinReducer>(); };
+      auto want_counters = counters;
       if (combiner) {
         job.combiner_factory = [] { return std::make_unique<JoinReducer>(); };
+        if (combiner_groups > 0) want_counters["groups"] += combiner_groups;
       }
       std::string first_json;
       for (const std::uint32_t threads : {1u, 4u}) {
@@ -551,7 +562,7 @@ TEST_P(EngineGrouping, MatchesNaiveMapReference) {
             {.num_nodes = 3, .execution_threads = threads});
         const auto report = engine.run(job, splits);
         EXPECT_EQ(report.output, expected);
-        EXPECT_EQ(report.counters, counters);
+        EXPECT_EQ(report.counters, want_counters);
         const auto json = datanet::mapred::report_to_json(report, true);
         if (first_json.empty()) first_json = json;
         EXPECT_EQ(json, first_json);

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
@@ -21,6 +22,7 @@
 #include "scheduler/flow_sched.hpp"
 #include "scheduler/locality.hpp"
 #include "scheduler/lpt.hpp"
+#include "server/server.hpp"
 #include "sim/selection_sim.hpp"
 
 namespace dc = datanet::core;
@@ -166,6 +168,49 @@ TEST(SelectionRuntime, ThreadCountInvariance) {
   const auto four = runtime_clean(ds, key, s4, &net, cfg);
   EXPECT_EQ(dm::report_to_json(one.report, true),
             dm::report_to_json(four.report, true));
+}
+
+// ---- pinned golden: the clean materialize run ----
+
+namespace {
+
+// DataNet selection of the hot key on the small movie dataset (NoFaults +
+// AnalyticBackend + DataNetScheduler). Recorded from the separate
+// bookkeeping-free clean loop run_graph used to carry; the single tracked
+// attempt loop must reproduce it byte for byte.
+constexpr std::string_view kCleanRunJson =
+    R"json({"timing":{"map_phase_seconds":5.160812163,"first_map_finish_seconds":2.171682287,"shuffle_phase_seconds":2.989316414,"reduce_phase_seconds":9.326934814e-05,"total_seconds":5.161091971)json"
+    R"json(,"node_map_seconds":[4.372492962,4.358164813,4.363340594,5.135117938,5.160812163,4.348279775,4.358023644,4.360529825])json"
+    R"json(,"shuffle_task_seconds":[2.989129875,2.989129875,2.989316414,2.989129875,2.989129875,2.989129875,2.989129875,2.989129875]})json"
+    R"json(,"aggregates":{"input_records":3080,"input_bytes":467168,"map_output_pairs":29,"shuffle_bytes":489,"skipped_lines":0,"output_keys":1})json"
+    R"json(,"faults":{"retries":0,"lost_blocks":0,"under_replicated":0,"degraded":false})json"
+    R"json(,"attempts":{"attempts":29,"timeouts":0,"transient_retries":0,"redispatches":0,"speculative_launched":0,"speculative_wins":0,"timing_backups":0,"degraded_tasks":0})json"
+    R"json(,"recovery":{"healed_blocks":0,"pending_repairs":0,"mttr_ticks":0,"monitor_ticks":0,"scrubbed_replicas":0,"unrepairable":0})json"
+    R"json(,"counters":{"records_filtered_out":2338,"records_matched":742})json"
+    R"json(,"output":{"movie_00000":"112103"}})json";
+constexpr std::uint64_t kCleanRunDigest = 10755031184573497146ull;
+const std::vector<std::uint64_t> kCleanRunFilteredBytes = {
+    15045, 15217, 16565, 16198, 12478, 14517, 10430, 11653};
+
+}  // namespace
+
+TEST(SelectionRuntime, CleanRunMatchesPinnedGolden) {
+  auto cfg = small_config();
+  const auto ds = dc::make_movie_dataset(cfg, 48, 300);
+  const dc::DataNet net(*ds.dfs, ds.path, {.alpha = 0.3});
+  const std::string key = ds.hot_keys[0];
+  for (const std::uint32_t threads : {1u, 4u}) {
+    cfg.execution_threads = threads;
+    dsch::DataNetScheduler sched;
+    const auto run = runtime_clean(ds, key, sched, &net, cfg);
+    EXPECT_EQ(dm::report_to_json(run.report, /*include_output=*/true),
+              kCleanRunJson)
+        << "threads=" << threads;
+    EXPECT_EQ(datanet::server::selection_digest(run), kCleanRunDigest)
+        << "threads=" << threads;
+    EXPECT_EQ(run.node_filtered_bytes, kCleanRunFilteredBytes)
+        << "threads=" << threads;
+  }
 }
 
 // ---- config validation ----

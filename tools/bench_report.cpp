@@ -4,8 +4,8 @@
 // data, a straggler-tail experiment (stalled nodes + transient read errors,
 // timeout-only recovery vs speculation), and an MTTR experiment (node kills
 // healed by the background ReplicationMonitor at a sweep of repair rates),
-// a hot-path section (scan-kernel throughput, armed-vs-unarmed bookkeeping
-// cost, engine thread sweep — PR 6's optimizations, see bench_hotpath),
+// a hot-path section (filter_lines scan throughput and the engine thread
+// sweep, see bench_hotpath),
 // and emits one JSON document with measured selection wall time (host clock)
 // a server section (datanetd loopback qps + latency percentiles with served
 // digests checked against golden in-process runs — PR 7, see bench_server),
@@ -32,7 +32,6 @@
 
 #include "apps/topk_search.hpp"
 #include "apps/word_count.hpp"
-#include "common/simd_scan.hpp"
 #include "datanet/selection_runtime.hpp"
 #include "dfs/edit_log.hpp"
 #include "dfs/fault_injector.hpp"
@@ -284,10 +283,8 @@ int main() {
   }
   std::printf("  },\n");
 
-  // Hot path (PR 6): scan-kernel throughput over the movie corpus, the
-  // armed-vs-unarmed bookkeeping delta on a clean selection (with a report
-  // byte-equality check), and the engine thread sweep. Wall-clock values;
-  // `reports_identical` is the only deterministic field.
+  // Hot path: filter_lines scan throughput over the movie corpus and the
+  // engine thread sweep. Wall-clock values only.
   std::printf("  \"hotpath\": {\n");
   const auto& blocks = ds.dfs->blocks_of(ds.path);
   std::uint64_t corpus_bytes = 0;
@@ -295,54 +292,17 @@ int main() {
     corpus_bytes += ds.dfs->read_block(b).size();
   }
   const double corpus_mib = static_cast<double>(corpus_bytes) / (1 << 20);
-  std::printf("    \"active_kernel\": \"%s\",\n",
-              common::scan_kernel_name(common::active_scan_kernel()));
-  std::printf("    \"filter_mib_per_s\": {");
-  const common::ScanKernel kernels[] = {common::ScanKernel::kScalar,
-                                        common::ScanKernel::kSse2,
-                                        common::ScanKernel::kAvx2};
-  bool first = true;
-  for (const auto kernel : kernels) {
-    if (!common::scan_kernel_available(kernel)) continue;
-    const double secs = best_of(5, [&] {
-      std::string out;
-      for (const dfs::BlockId b : blocks) {
-        out.clear();
-        (void)core::filter_lines(ds.dfs->read_block(b), key, out, kernel);
-      }
-    });
-    std::printf("%s\"%s\": %.1f", first ? "" : ", ",
-                common::scan_kernel_name(kernel), corpus_mib / secs);
-    first = false;
-  }
-  std::printf("},\n");
+  const double filter_secs = best_of(5, [&] {
+    std::string out;
+    for (const dfs::BlockId b : blocks) {
+      out.clear();
+      (void)core::filter_lines(ds.dfs->read_block(b), key, out);
+    }
+  });
+  std::printf("    \"filter_mib_per_s\": %.1f,\n", corpus_mib / filter_secs);
   scheduler::DataNetScheduler hp_sched;
-  core::SelectionResult unarmed_result;
-  const double unarmed_secs = best_of(3, [&] {
-    core::DirectReadPolicy read(*ds.dfs, cfg.remote_read_penalty);
-    core::NoFaults faults;
-    core::AnalyticBackend timing;
-    unarmed_result = core::SelectionRuntime(read, faults, timing)
-                         .run(*ds.dfs, ds.path, key, hp_sched, &net, cfg);
-  });
-  core::SelectionResult armed_result;
-  const double armed_secs = best_of(3, [&] {
-    dfs::FaultInjector injector(*ds.dfs, {});  // empty plan, still armed
-    core::DirectReadPolicy read(*ds.dfs, cfg.remote_read_penalty);
-    core::InjectedFaults faults(injector);
-    core::AnalyticBackend timing;
-    armed_result = core::SelectionRuntime(read, faults, timing)
-                       .run(*ds.dfs, ds.path, key, hp_sched, &net, cfg);
-  });
-  const bool identical =
-      mapred::report_to_json(unarmed_result.report, true) ==
-          mapred::report_to_json(armed_result.report, true) &&
-      unarmed_result.node_local_data == armed_result.node_local_data;
-  std::printf("    \"armed_wall_seconds\": %.6f,\n", armed_secs);
-  std::printf("    \"unarmed_wall_seconds\": %.6f,\n", unarmed_secs);
-  std::printf("    \"reports_identical\": %s,\n", identical ? "true" : "false");
   std::printf("    \"thread_sweep_wall_seconds\": {");
-  first = true;
+  bool first = true;
   for (const std::uint32_t threads : {1u, 2u, 4u, 8u}) {
     auto tcfg = cfg;
     tcfg.execution_threads = threads;

@@ -3,8 +3,8 @@
 # at the repo root: Fig. 5 selection wall time + simulated report totals for
 # both schedulers, the Fig. 7 shuffle speedups, the straggler-tail
 # attempt/timeout/speculation numbers, and the ReplicationMonitor MTTR sweep
-# over repair rates, the PR 6 hot-path section (scan-kernel throughput,
-# armed-vs-unarmed bookkeeping delta, engine thread sweep), the PR 7
+# over repair rates, the hot-path section (filter_lines scan throughput,
+# engine thread sweep), the PR 7
 # server section (datanetd loopback qps + latency percentiles, digests
 # checked against golden in-process runs), and the PR 8 metadata section
 # (ring lookup throughput, shard balance + kill-one-shard recovery over a
