@@ -1,12 +1,16 @@
 // Hot-path bench: real-wall numbers for the selection path —
 //
 //   1. scan throughput — filter_lines (memchr line splitting + exact
-//                        key-field test) vs the decode-every-line
-//                        reference, MiB/s over the movie corpus;
+//                        key-field test), the counting scan the selection
+//                        prices its report from (filter_lines_counted:
+//                        every line also validated and tallied), and the
+//                        decode-every-line reference, MiB/s over the movie
+//                        corpus;
 //   2. copy vs zero-copy — a per-task `std::string(block)` copy before
 //                        filtering vs filtering the DFS-owned bytes in
 //                        place;
-//   3. thread scaling  — selection wall at 1/2/4/8 engine threads.
+//   3. thread scaling  — selection wall at 1/2/4/8 engine threads (the
+//                        filter runs per node on the engine's threads).
 //
 // Wall times are host-dependent; every simulated figure and all report
 // bytes are deterministic. The machine-readable twin of this bench is the
@@ -16,8 +20,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "apps/filter.hpp"
 #include "bench_util.hpp"
 #include "scheduler/datanet_sched.hpp"
 
@@ -78,6 +84,11 @@ int main() {
                 static_cast<unsigned long long>(matched));
   };
   sweep("filter_lines", core::filter_lines);
+  sweep("counting scan", [](std::string_view data, const std::string& k,
+                            std::string& out) {
+    apps::FilterCounts counts;
+    return core::filter_lines_counted(data, k, out, counts);
+  });
   sweep("decode-all ref", core::filter_lines_decode_all);
 
   // ---- 2. copy vs zero-copy -------------------------------------------

@@ -52,4 +52,24 @@ mapred::Job make_filter_stats_job(std::string target_key) {
   return job;
 }
 
+mapred::MapOutput filter_stats_map_output(std::string_view target_key,
+                                          const FilterCounts& counts) {
+  // FilterStatsMapper::finish's counters, in its order; the SumReducer
+  // combiner folds the matched records' sizes into one pair and counts
+  // nothing.
+  mapred::MapOutput out;
+  out.records = counts.records;
+  out.skipped = counts.skipped;
+  if (counts.records > counts.matched) {
+    out.counters.emplace_back("records_filtered_out",
+                              counts.records - counts.matched);
+  }
+  if (counts.matched > 0) {
+    out.counters.emplace_back("records_matched", counts.matched);
+    out.pairs.emplace_back(std::string(target_key),
+                           std::to_string(counts.matched_bytes));
+  }
+  return out;
+}
+
 }  // namespace datanet::apps

@@ -35,6 +35,21 @@ using LineSink = void (*)(void* ctx, std::string_view line);
 void scan_key_lines(std::string_view data, std::string_view key, void* ctx,
                     LineSink sink);
 
+// Line tallies of scan_key_lines_counted: the counts workload::
+// for_each_record would return over the same bytes.
+struct LineCounts {
+  std::uint64_t records = 0;  // lines workload::decode_record accepts
+  std::uint64_t skipped = 0;  // non-empty lines it rejects
+};
+
+// scan_key_lines that also validates every non-empty line with
+// workload::decode_record's rules (two tabs, non-empty key, a timestamp that
+// parses whole as a uint64) and adds it to `counts` as a record or a skipped
+// line. Only valid lines reach `sink`. The same loop as scan_key_lines, so
+// the selection prices its report from the one scan that filters the bytes.
+void scan_key_lines_counted(std::string_view data, std::string_view key,
+                            void* ctx, LineSink sink, LineCounts& counts);
+
 // Invoke `sink` for every non-empty line of `data` (split on '\n', final
 // line included without one). One trailing '\r' per line is stripped before
 // the empty test, so "\r\n" blank lines are skipped like "\n" ones. Used by

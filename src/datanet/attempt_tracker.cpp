@@ -41,6 +41,7 @@ AttemptTracker::AttemptTracker(std::size_t num_tasks, AttemptOptions options)
   task_capped_.assign(num_tasks, 0);
   task_closed_.assign(num_tasks, 0);
   task_speculated_.assign(num_tasks, 0);
+  task_last_.assign(num_tasks, kNoAttempt);
 }
 
 std::optional<std::uint64_t> AttemptTracker::next_event_tick() const {
@@ -70,6 +71,8 @@ std::size_t AttemptTracker::dispatch(std::size_t task, dfs::NodeId node,
   a.counts_toward_cap = counts_toward_cap;
   const std::size_t id = attempts_.size();
   attempts_.push_back(a);
+  prev_of_task_.push_back(task_last_[task]);
+  task_last_[task] = id;
   ready_.emplace_back(a.ready_at, id);
   std::push_heap(ready_.begin(), ready_.end(), ReadyLater{});
   ++stats_.dispatched;
@@ -101,6 +104,7 @@ void AttemptTracker::mark_running(std::size_t attempt) {
   TaskAttempt& a = attempts_[attempt];
   a.state = AttemptState::kRunning;
   a.deadline = now_ + options_.timeout_ticks;
+  any_running_ = true;
 }
 
 void AttemptTracker::complete(std::size_t attempt) {
@@ -121,6 +125,7 @@ void AttemptTracker::cancel(std::size_t attempt) {
 
 std::vector<std::size_t> AttemptTracker::expire_due() {
   std::vector<std::size_t> due;
+  if (!any_running_) return due;  // nothing was ever parked: nothing expires
   for (std::size_t id = 0; id < attempts_.size(); ++id) {
     const TaskAttempt& a = attempts_[id];
     if (a.state == AttemptState::kRunning && task_open(a.task) &&
@@ -172,8 +177,9 @@ bool AttemptTracker::has_live_attempt(std::size_t task) const {
 
 std::uint32_t AttemptTracker::live_attempts_of(std::size_t task) const {
   std::uint32_t n = 0;
-  for (const auto& a : attempts_) {
-    if (a.task == task && live(a)) ++n;
+  for (std::size_t id = task_last_[task]; id != kNoAttempt;
+       id = prev_of_task_[id]) {
+    if (live(attempts_[id])) ++n;
   }
   return n;
 }
@@ -223,9 +229,10 @@ void AttemptTracker::close_task(std::size_t task) {
   --open_;
   // Rivals of the closed task are superseded — first result wins. Their
   // stale ready-queue entries fall out lazily in pop_ready().
-  for (auto& a : attempts_) {
-    if (a.task == task && (a.state == AttemptState::kQueued ||
-                           a.state == AttemptState::kRunning)) {
+  for (std::size_t id = task_last_[task]; id != kNoAttempt;
+       id = prev_of_task_[id]) {
+    TaskAttempt& a = attempts_[id];
+    if (a.state == AttemptState::kQueued || a.state == AttemptState::kRunning) {
       a.state = AttemptState::kSuperseded;
     }
   }

@@ -167,6 +167,8 @@ class AttemptTracker {
   }
   void close_task(std::size_t task);
 
+  static constexpr std::size_t kNoAttempt = static_cast<std::size_t>(-1);
+
   AttemptOptions options_;
   std::uint64_t now_ = 0;
   std::uint64_t open_ = 0;
@@ -175,6 +177,14 @@ class AttemptTracker {
   std::vector<std::uint32_t> task_capped_;       // cap-counted per task
   std::vector<std::uint8_t> task_closed_;        // done/abandoned/dropped
   std::vector<std::uint8_t> task_speculated_;
+  // Per-task attempt chains, newest first: task_last_[task] is the task's
+  // latest attempt id, prev_of_task_[id] the same task's attempt before id
+  // (kNoAttempt ends a chain). Per-task walks stay O(attempts of the task).
+  std::vector<std::size_t> task_last_;
+  std::vector<std::size_t> prev_of_task_;
+  // Set by the first mark_running: until an attempt is parked, expire_due
+  // has nothing to scan for.
+  bool any_running_ = false;
   // Ready queue: (ready_at, attempt id) min-heap with lazy deletion.
   std::vector<std::pair<std::uint64_t, std::size_t>> ready_;
   AttemptStats stats_;

@@ -14,11 +14,11 @@
 //     InjectedFaults adapts dfs::FaultInjector (kill / corrupt / slow /
 //     stall / transient-read).
 //   * TimingBackend — how the assignment is ordered and the phase is timed.
-//     AnalyticBackend keeps the fair round-robin request order and the
-//     closed-form mapred::Engine cost model (and runs the real filter job,
-//     so report.output is live). sim::EventSimBackend (sim/selection_sim.hpp)
-//     drives the same scheduler with discrete-event pull-on-slot-free
-//     ordering instead.
+//     AnalyticBackend keeps the fair round-robin request order and prices
+//     the FilterStats job on the closed-form mapred::Engine cost model from
+//     the counts the runtime's filter scan took (so report.output is live
+//     without a second scan). sim::EventSimBackend (sim/selection_sim.hpp) drives the
+//     same scheduler with discrete-event pull-on-slot-free ordering instead.
 //
 // The materialize loop is straggler-resilient (core::AttemptTracker): every
 // dispatched task is a TaskAttempt on a deterministic logical clock;
@@ -28,7 +28,9 @@
 // Hadoop-style speculative duplicates with first-result-wins, and the retry
 // cap degrades (never hangs) a task no node can finish. The clock jumps to
 // the next deadline when nothing is ready, so stalled plans cost O(attempts)
-// iterations. See DESIGN.md §5d for the lifecycle state machine.
+// iterations. See DESIGN.md §5d for the lifecycle state machine. The loop
+// only records each task's final pinned view; after it, every candidate
+// byte is scanned once, per node in parallel on cfg.execution_threads.
 //
 // Invariance properties (tests/selection_runtime_test.cpp, faults_test.cpp):
 //   * JobReports are bit-identical at any engine thread count;
@@ -40,6 +42,7 @@
 #include <string_view>
 #include <vector>
 
+#include "apps/filter.hpp"
 #include "datanet/attempt_tracker.hpp"
 #include "datanet/experiment.hpp"
 #include "dfs/fault_injector.hpp"
@@ -158,19 +161,29 @@ class TimingBackend {
   // Selection-phase JobReport over the materialized splits. `node_speeds`
   // is the FaultPolicy's post-run view (empty = homogeneous); `attempts`
   // the materialize loop's attempt counters (all-zero on clean runs) — the
-  // backend prices wasted/duplicated work from them.
+  // backend prices wasted/duplicated work from them. Each split carries the
+  // raw block and, when wants_filter_counts(), the FilterStats map output
+  // the filter scan counted for it (mapred::InputSplit::map_output).
   [[nodiscard]] virtual mapred::JobReport report(
       const std::string& key, const std::vector<mapred::InputSplit>& splits,
       const ExperimentConfig& cfg, const std::vector<double>& node_speeds,
       const mapred::AttemptCounters& attempts) = 0;
+  // Whether report() reads the filter scan's counts. True by default, so a
+  // wrapper around a pricing backend stays correct; backends that ignore
+  // them return false and keep the key-only scan.
+  [[nodiscard]] virtual bool wants_filter_counts() const { return true; }
 };
 
 // Fair round-robin request order + the closed-form engine cost model. Runs
-// the real filter job over the splits, so the report carries live output.
-// When the attempt layer launched speculative duplicates the engine's
-// speculative backup pass (mapred::apply_speculative_backups — the one
-// speculation-timing implementation) prices them; clean runs keep the exact
-// non-speculative timings.
+// the FilterStats job through mapred::Engine, whose map tasks take the
+// records, skipped lines and matched bytes the runtime's filter scan counted
+// (each split's map_output) instead of scanning the block again; the engine
+// still partitions, shuffles, reduces and prices every simulated second, so
+// the report carries live output. When the attempt layer launched
+// speculative duplicates the engine's speculative backup pass
+// (mapred::apply_speculative_backups — the one speculation-timing
+// implementation) prices them; clean runs keep the exact non-speculative
+// timings.
 class AnalyticBackend final : public TimingBackend {
  public:
   [[nodiscard]] scheduler::AssignmentRecord assign(
@@ -183,13 +196,13 @@ class AnalyticBackend final : public TimingBackend {
 };
 
 // Same fair round-robin assignment as AnalyticBackend, but report() prices
-// nothing: it returns an empty JobReport instead of re-running the filter
-// job through the engine. The selection OUTPUT is unaffected — node-local
-// buffers and filtered-bytes come from the runtime's materialize loop, which
-// is backend-independent — so callers that only need the selected bytes
-// (the datanetd serving path) skip the whole engine cost-model pass and pay
-// scan cost per query. Attempt/recovery counters still land in the report
-// via run_graph's post-merge.
+// nothing: it returns an empty JobReport instead of running the filter job
+// through the engine, and wants no filter counts. The selection OUTPUT is
+// unaffected — node-local buffers and filtered-bytes come from the runtime's
+// filter scan, which is backend-independent — so callers that only need the
+// selected bytes (the datanetd serving path) skip the engine cost-model pass
+// and pay the key-only scan per query. Attempt/recovery counters still land
+// in the report via run_graph's post-merge.
 class CostOnlyBackend final : public TimingBackend {
  public:
   [[nodiscard]] scheduler::AssignmentRecord assign(
@@ -199,6 +212,7 @@ class CostOnlyBackend final : public TimingBackend {
       const std::string& key, const std::vector<mapred::InputSplit>& splits,
       const ExperimentConfig& cfg, const std::vector<double>& node_speeds,
       const mapred::AttemptCounters& attempts) override;
+  [[nodiscard]] bool wants_filter_counts() const override { return false; }
 };
 
 // ---- the runtime ----
@@ -264,6 +278,14 @@ class SelectionRuntime {
 // (which still validates the timestamp before the line is kept).
 std::uint64_t filter_lines(std::string_view data, const std::string& key,
                            std::string& out);
+
+// filter_lines on the validating scan (common::scan_key_lines_counted):
+// also adds to `counts` the records and skipped lines workload::
+// for_each_record would report over `data`, and the kept records with
+// their encoded sizes — what apps::filter_stats_map_output prices.
+std::uint64_t filter_lines_counted(std::string_view data,
+                                   const std::string& key, std::string& out,
+                                   apps::FilterCounts& counts);
 
 // Reference implementation (full decode of every line); kept for the
 // equivalence test and the bench comparison.

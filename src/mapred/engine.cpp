@@ -283,24 +283,30 @@ JobReport Engine::run(const Job& job, const std::vector<InputSplit>& splits) con
         TaskResult& r = results[t];
         r.arena = std::make_unique<common::Arena>();
         common::Arena& arena = *r.arena;
-        auto mapper = job.mapper_factory();
-        VectorEmitter emitter(arena);
-        std::uint64_t records = 0;
-        const std::uint64_t skipped = workload::for_each_record(
-            split.data, [&](const workload::RecordView& rv) {
-              mapper->map(rv, emitter);
-              ++records;
-            });
-        mapper->finish(emitter);
-        r.records = records;
-        r.skipped = skipped;
-        r.counters = std::move(emitter.counters());
-        auto hashed = hash_pairs(std::move(emitter.pairs()), arena);
-        if (job.combiner_factory) {
-          auto combiner = job.combiner_factory();
-          hashed = hash_pairs(reduce_pairs(*combiner, std::move(hashed),
-                                           arena, &r.counters),
-                              arena);
+        common::ArenaVector<HashedPair> hashed{
+            common::ArenaAllocator<HashedPair>(arena)};
+        if (split.map_output) {
+          r.records = split.map_output->records;
+          r.skipped = split.map_output->skipped;
+          r.counters = split.map_output->counters;
+          hashed = hash_pairs(split.map_output->pairs, arena);
+        } else {
+          auto mapper = job.mapper_factory();
+          VectorEmitter emitter(arena);
+          r.skipped = workload::for_each_record(
+              split.data, [&](const workload::RecordView& rv) {
+                mapper->map(rv, emitter);
+                ++r.records;
+              });
+          mapper->finish(emitter);
+          r.counters = std::move(emitter.counters());
+          hashed = hash_pairs(std::move(emitter.pairs()), arena);
+          if (job.combiner_factory) {
+            auto combiner = job.combiner_factory();
+            hashed = hash_pairs(reduce_pairs(*combiner, std::move(hashed),
+                                             arena, &r.counters),
+                                arena);
+          }
         }
         r.pair_count = hashed.size();
         r.partitions.reserve(R);

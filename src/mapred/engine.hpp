@@ -18,17 +18,31 @@
 // output (key hash computed once per pair and cached), and the per-partition
 // group+reduce stage (a hash table on that hash, no sort) runs on the map
 // stage's thread pool. Results and simulated timings are bit-identical at any
-// thread count.
+// thread count. A split may carry its map output precomputed (the selection
+// phase counts FilterStats in the scan that filters the block); such a task
+// skips the mapper and combiner and joins the shared path at partitioning.
 
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "mapred/job.hpp"
 
 namespace datanet::mapred {
+
+// A map task's output, produced outside the engine by a caller whose own
+// scan of the split already saw every record: exactly what the job's mapper
+// and combiner would have produced for that split.
+struct MapOutput {
+  std::uint64_t records = 0;  // records the mapper would have seen
+  std::uint64_t skipped = 0;  // malformed lines
+  std::vector<std::pair<Key, Value>> pairs;  // post-combiner, emit order
+  Emitter::CounterList counters;             // mapper + combiner counts
+};
 
 // One map task: a chunk of input data resident on `node`.
 struct InputSplit {
@@ -37,6 +51,11 @@ struct InputSplit {
   // Bytes charged to the simulated clock; defaults to data.size() but can be
   // overridden (e.g. remote reads charged with a network penalty).
   std::uint64_t charged_bytes = 0;
+  // When set, the engine takes this as the task's map output instead of
+  // running the mapper and combiner over `data` (which still sizes
+  // input_bytes). Partitioning, shuffle, reduce and every simulated second
+  // run as usual, so the report is the one a real map pass would give.
+  std::optional<MapOutput> map_output;
 
   [[nodiscard]] std::uint64_t effective_bytes() const {
     return charged_bytes ? charged_bytes : data.size();

@@ -45,6 +45,9 @@ class EventSimBackend final : public core::TimingBackend {
       const core::ExperimentConfig& cfg,
       const std::vector<double>& node_speeds,
       const mapred::AttemptCounters& attempts) override;
+  // The event model prices bytes, not records: the runtime keeps its
+  // key-only scan.
+  [[nodiscard]] bool wants_filter_counts() const override { return false; }
 
   // Raw result of the most recent assign() (task finish times, makespan,
   // remote reads).

@@ -28,6 +28,7 @@
 #include "dfs/fsck.hpp"
 #include "dfs/replication_monitor.hpp"
 #include "mapred/report_json.hpp"
+#include "workload/record.hpp"
 #include "scheduler/datanet_sched.hpp"
 #include "scheduler/flow_sched.hpp"
 #include "scheduler/locality.hpp"
@@ -265,6 +266,65 @@ TEST(SimdScan, FilterLinesMatchesDecodeAllReferenceOnEveryKernel) {
     EXPECT_EQ(got, want) << "offset=" << off;
     EXPECT_EQ(got_bytes, want_bytes) << "offset=" << off;
   });
+}
+
+TEST(SimdScan, CountedScanMatchesForEachRecordAllAlignments) {
+  // filter_lines_counted must keep exactly filter_lines' bytes and count
+  // what workload::for_each_record sees: valid records, skipped lines, and
+  // the target's records with their encoded sizes — on corpora laced with
+  // every line shape decode_record rejects or re-sizes.
+  std::mt19937_64 rng(20161110);
+  const std::string keys[] = {"k", "movie_1", "a_rather_long_key_name"};
+  for (int round = 0; round < 6; ++round) {
+    const std::string& key = keys[round % 3];
+    std::string corpus;
+    std::uniform_int_distribution<int> line_kind(0, 11);
+    std::uniform_int_distribution<int> ch('a', 'z');
+    for (int line = 0; line < 150; ++line) {
+      const std::string ts = std::to_string(line * 37);
+      const std::string field =
+          line_kind(rng) < 6 ? key : key + static_cast<char>(ch(rng));
+      switch (line_kind(rng)) {
+        case 0: break;                                            // blank
+        case 1: corpus += "00" + ts + "\t" + field + "\tp"; break;  // zeros
+        case 2: corpus += "18446744073709551615\t" + field + "\t"; break;
+        case 3: corpus += "18446744073709551616\t" + field + "\tp"; break;
+        case 4: corpus += ts + "\t" + field; break;              // one tab
+        case 5: corpus += ts + "\t\tp"; break;                  // empty key
+        case 6: corpus += "-" + ts + "\t" + field + "\tp"; break;
+        case 7: corpus += "\t" + field + "\tp"; break;          // empty ts
+        case 8: corpus += ts + "x\t" + field + "\tp\tq"; break;
+        default: corpus += ts + "\t" + field + "\tpayload"; break;
+      }
+      if (line_kind(rng) < 4) corpus += '\r';
+      corpus += '\n';
+    }
+    if (round % 2 == 0) corpus.pop_back();  // exercise the unterminated tail
+    at_all_alignments(corpus, [&](std::string_view view, std::size_t off) {
+      datanet::apps::FilterCounts want;
+      want.skipped = datanet::workload::for_each_record(
+          view, [&](const datanet::workload::RecordView& rv) {
+            ++want.records;
+            if (rv.key == key) {
+              ++want.matched;
+              want.matched_bytes += rv.encoded_size();
+            }
+          });
+      std::string want_out;
+      (void)dc::filter_lines(view, key, want_out);
+      datanet::apps::FilterCounts got;
+      std::string got_out;
+      const auto got_bytes = dc::filter_lines_counted(view, key, got_out, got);
+      const std::string label =
+          "round=" + std::to_string(round) + " offset=" + std::to_string(off);
+      EXPECT_EQ(got_out, want_out) << label;
+      EXPECT_EQ(got_bytes, want_out.size()) << label;
+      EXPECT_EQ(got.records, want.records) << label;
+      EXPECT_EQ(got.skipped, want.skipped) << label;
+      EXPECT_EQ(got.matched, want.matched) << label;
+      EXPECT_EQ(got.matched_bytes, want.matched_bytes) << label;
+    });
+  }
 }
 
 // ---- Arena ----

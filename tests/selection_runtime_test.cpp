@@ -2,7 +2,10 @@
 // deterministic (bit-identical across repeated runs) for every scheduler on
 // both datasets, an empty-plan FaultPolicy never changes any report field,
 // and reports are thread-count invariant. Plus unit coverage for the
-// AttemptTracker state machine and the shared split/filter kernels.
+// AttemptTracker state machine and the shared split/filter kernels. The
+// counted-report oracle checks that the FilterStats report priced from the
+// filter scan's counts equals the engine re-running FilterStatsMapper over
+// the raw blocks, for every scheduler, thread count and fault kind.
 
 #include <gtest/gtest.h>
 
@@ -14,9 +17,11 @@
 #include <utility>
 #include <vector>
 
+#include "apps/filter.hpp"
 #include "datanet/experiment.hpp"
 #include "datanet/selection_runtime.hpp"
 #include "dfs/fault_injector.hpp"
+#include "mapred/engine.hpp"
 #include "mapred/report_json.hpp"
 #include "scheduler/datanet_sched.hpp"
 #include "scheduler/flow_sched.hpp"
@@ -79,6 +84,89 @@ dc::SelectionResult runtime_clean(const dc::StoredDataset& ds,
   return dc::SelectionRuntime(read, faults, timing)
       .run(*ds.dfs, ds.path, key, sched, net, cfg);
 }
+
+// A movie-like log laced with every line shape decode_record has a rule
+// for: CRLF records and blank CRLF lines, blank lines, leading-zero and
+// maximal timestamps, 20-digit timestamps that overflow a uint64, lines
+// missing a tab, empty keys and non-numeric timestamps. ~24 blocks at
+// small_config()'s 16 KiB.
+constexpr const char* kLacedKey = "hot";
+
+dc::StoredDataset make_laced_dataset(const dc::ExperimentConfig& cfg) {
+  dc::StoredDataset ds;
+  ds.path = "/data/laced.log";
+  ds.dfs = std::make_unique<dfs::MiniDfs>(
+      dfs::ClusterTopology::flat(cfg.num_nodes), dc::make_dfs_options(cfg));
+  auto writer = ds.dfs->create(ds.path);
+  const std::string keys[] = {kLacedKey, "cold", "hot_", "ho", "warm"};
+  for (int i = 0; i < 16000; ++i) {
+    const std::string& key = keys[i % 5 == 0 ? 0 : (i * 7) % 5];
+    const std::string payload = "payload " + std::to_string(i * 31 % 977);
+    const std::string ts = std::to_string(1000 + i);
+    switch (i % 23) {
+      case 1: writer.append(ts + "\t" + key + "\t" + payload + "\r"); break;
+      case 3: writer.append(""); break;
+      case 5: writer.append("\r"); break;
+      case 7: writer.append("000" + ts + "\t" + key + "\t" + payload); break;
+      case 9: writer.append("18446744073709551615\t" + key + "\t" + payload); break;
+      case 11: writer.append("18446744073709551616\t" + key + "\t" + payload); break;
+      case 13: writer.append("99999999999999999999\t" + key + "\t" + payload); break;
+      case 15: writer.append(ts + "\t" + key); break;  // no payload tab
+      case 17: writer.append(ts + " " + key + " " + payload); break;
+      case 19: writer.append(ts + "\t\t" + payload); break;  // empty key
+      case 21: writer.append("1x\t" + key + "\t" + payload); break;
+      case 22: writer.append("\t" + key + "\t" + payload + "\r"); break;
+      default: writer.append(ts + "\t" + key + "\t" + payload); break;
+    }
+  }
+  writer.close();
+  return ds;
+}
+
+// AnalyticBackend plus an oracle: report() also runs mapred::Engine over the
+// same splits with their counted map output removed — so FilterStatsMapper
+// and its combiner scan every raw block again, as the report did before the
+// filter scan counted — with the same node speeds and speculative flag, and
+// keeps both JSONs.
+class OracleBackend final : public dc::TimingBackend {
+ public:
+  [[nodiscard]] dsch::AssignmentRecord assign(
+      dsch::TaskScheduler& sched, const datanet::graph::BipartiteGraph& graph,
+      const std::vector<std::uint64_t>& block_bytes) override {
+    return inner_.assign(sched, graph, block_bytes);
+  }
+  [[nodiscard]] dm::JobReport report(
+      const std::string& key, const std::vector<dm::InputSplit>& splits,
+      const dc::ExperimentConfig& cfg, const std::vector<double>& node_speeds,
+      const dm::AttemptCounters& attempts) override {
+    std::vector<dm::InputSplit> raw = splits;
+    for (auto& split : raw) {
+      EXPECT_TRUE(split.map_output.has_value());
+      split.map_output.reset();
+    }
+    dm::Job job = datanet::apps::make_filter_stats_job(key);
+    job.config.cost.time_scale = cfg.effective_time_scale();
+    dm::EngineOptions opt;
+    opt.num_nodes = cfg.num_nodes;
+    opt.slots_per_node = cfg.slots_per_node;
+    opt.execution_threads = cfg.execution_threads;
+    opt.node_speed = node_speeds;
+    opt.speculative = attempts.speculative_launched > 0;
+    oracle_json = dm::report_to_json(dm::Engine(opt).run(job, raw), true);
+    dm::JobReport counted =
+        inner_.report(key, splits, cfg, node_speeds, attempts);
+    counted_json = dm::report_to_json(counted, true);
+    ++reports;
+    return counted;
+  }
+
+  std::string oracle_json;
+  std::string counted_json;
+  int reports = 0;
+
+ private:
+  dc::AnalyticBackend inner_;
+};
 
 }  // namespace
 
@@ -462,6 +550,102 @@ TEST(FilterLines, FastPathMatchesFullDecodeOnRealBlocks) {
       const auto sn = dc::filter_lines_decode_all(data, key, slow);
       EXPECT_EQ(fast, slow);
       EXPECT_EQ(fn, sn);
+    }
+  }
+}
+
+// ---- the counted report vs the engine's own scan ----
+
+TEST(CountedReport, MatchesEngineRescanAllSchedulersThreadsAndFaults) {
+  struct Plan {
+    const char* name;
+    bool checksum_reads;
+    dc::AttemptOptions attempts;
+    std::vector<dfs::FaultEvent> (*events)(const dfs::MiniDfs&);
+  };
+  dc::AttemptOptions patient;
+  patient.timeout_ticks = 1000;  // speculation wins before any deadline
+  const Plan plans[] = {
+      {"no-faults", false, {}, nullptr},
+      {"kill", true, {},
+       [](const dfs::MiniDfs&) {
+         // Late enough that both nodes have finished work to re-execute.
+         return std::vector<dfs::FaultEvent>{
+             {.at_task = 9, .kind = dfs::FaultKind::kKillNode, .node = 3},
+             {.at_task = 15, .kind = dfs::FaultKind::kKillNode, .node = 6}};
+       }},
+      {"stall+speculation", true, patient,
+       [](const dfs::MiniDfs&) {
+         return std::vector<dfs::FaultEvent>{
+             {.at_task = 0, .kind = dfs::FaultKind::kStallNode, .node = 2}};
+       }},
+      {"transient", true, {},
+       [](const dfs::MiniDfs& d) {
+         const auto& blocks = d.blocks_of("/data/laced.log");
+         return std::vector<dfs::FaultEvent>{
+             {.at_task = 0, .kind = dfs::FaultKind::kTransientReadError,
+              .block = blocks[1], .fail_count = 2},
+             {.at_task = 0, .kind = dfs::FaultKind::kTransientReadError,
+              .block = blocks[3], .fail_count = 2}};
+       }},
+      {"corrupt-replica", true, {},
+       [](const dfs::MiniDfs& d) {
+         // Two of every early block's three copies go bad: whichever copy a
+         // task tries first, most reads fail a checksum and retry.
+         std::vector<dfs::FaultEvent> ev;
+         const auto& blocks = d.blocks_of("/data/laced.log");
+         for (std::size_t b = 0; b < 4; ++b) {
+           const auto& holders = d.block(blocks[b]).replicas;
+           for (std::size_t r = 0; r + 1 < holders.size(); ++r) {
+             ev.push_back({.at_task = 0,
+                           .kind = dfs::FaultKind::kCorruptReplica,
+                           .node = holders[r], .block = blocks[b]});
+           }
+         }
+         return ev;
+       }},
+  };
+  for (const Plan& plan : plans) {
+    for (int which = 0; which < 4; ++which) {
+      for (const std::uint32_t threads : {1u, 4u}) {
+        auto cfg = small_config();
+        cfg.execution_threads = threads;
+        auto ds = make_laced_dataset(cfg);
+        ASSERT_GE(ds.dfs->blocks_of(ds.path).size(), 20u);
+        dfs::FaultInjector injector(
+            *ds.dfs, plan.events ? plan.events(*ds.dfs)
+                                 : std::vector<dfs::FaultEvent>{});
+        dc::DirectReadPolicy direct(*ds.dfs, cfg.remote_read_penalty);
+        dc::ChecksumRetryReadPolicy checksum(*ds.dfs, cfg.remote_read_penalty);
+        dc::NoFaults none;
+        dc::InjectedFaults injected(injector);
+        OracleBackend timing;
+        auto sched = std::move(all_schedulers()[which]);
+        const std::string label = std::string(plan.name) + " scheduler " +
+                                  std::to_string(which) + " threads " +
+                                  std::to_string(threads);
+        dc::ReplicaReadPolicy& read =
+            plan.checksum_reads ? static_cast<dc::ReplicaReadPolicy&>(checksum)
+                                : direct;
+        dc::FaultPolicy& faults = plan.events
+                                      ? static_cast<dc::FaultPolicy&>(injected)
+                                      : none;
+        const auto run = dc::SelectionRuntime(read, faults, timing,
+                                              plan.attempts)
+                             .run(*ds.dfs, ds.path, kLacedKey, *sched, nullptr,
+                                  cfg);
+        ASSERT_EQ(timing.reports, 1) << label;
+        EXPECT_EQ(timing.counted_json, timing.oracle_json) << label;
+        EXPECT_GT(run.report.skipped_lines, 0u) << label;
+        EXPECT_GT(run.report.counters.at("records_matched"), 0u) << label;
+        if (plan.events) {
+          const auto& a = run.report.attempts;
+          EXPECT_GT(run.report.retries + a.timeouts + a.transient_retries +
+                        a.speculative_launched,
+                    0u)
+              << label << ": the plan fired nothing";
+        }
+      }
     }
   }
 }

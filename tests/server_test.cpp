@@ -377,7 +377,7 @@ TEST(ServerEndToEnd, ServedDigestsMatchInProcessGoldenRuns) {
 
   const auto& hot = server.dataset().hot_keys;
   ASSERT_GE(hot.size(), 2u);
-  for (const std::string& sched : {"datanet", "locality"}) {
+  for (const char* sched : {"datanet", "locality"}) {
     for (std::size_t k = 0; k < 2; ++k) {
       srv::QueryRequest q = query_for("golden", hot[k], sched);
       const srv::ClientResult served = client.query(q);
@@ -747,8 +747,9 @@ TEST(ServerProtocolV2, QueryOkDecodesOlderPayloadsWithoutSuffixes) {
   EXPECT_FALSE(back1.degraded);  // suffix absent -> not degraded
 
   // A TORN staleness word is a protocol error, not silently dropped.
-  EXPECT_THROW(srv::decode_query_ok(v3.substr(0, v3.size() - 3)),
-               srv::ProtocolError);
+  EXPECT_THROW(
+      static_cast<void>(srv::decode_query_ok(v3.substr(0, v3.size() - 3))),
+      srv::ProtocolError);
 }
 
 TEST(ServerProtocolV2, NewRejectReasonsRoundTrip) {
