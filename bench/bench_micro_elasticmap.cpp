@@ -6,7 +6,6 @@
 
 #include "datanet/experiment.hpp"
 #include "elasticmap/elastic_map.hpp"
-#include "elasticmap/index.hpp"
 #include "elasticmap/separator.hpp"
 
 namespace {
@@ -88,21 +87,6 @@ void BM_ElasticMapBuildParallel(benchmark::State& state) {
                           static_cast<std::int64_t>(ds.dfs->total_bytes()));
 }
 BENCHMARK(BM_ElasticMapBuildParallel)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
-void BM_IndexBuildAndQuery(benchmark::State& state) {
-  const auto& ds = dataset();
-  static const auto em =
-      elasticmap::ElasticMapArray::build(*ds.dfs, ds.path, {.alpha = 0.3});
-  static const elasticmap::SubDatasetIndex index(em);
-  const auto id = workload::subdataset_id(ds.hot_keys[0]);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(index.dominant_blocks(id));
-    benchmark::DoNotOptimize(index.exact_total(id));
-  }
-  state.counters["index_bytes"] = static_cast<double>(index.memory_bytes());
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_IndexBuildAndQuery);
 
 // Single-scan separator throughput: the O(m) bucket update path.
 void BM_SeparatorAdd(benchmark::State& state) {

@@ -9,7 +9,6 @@
 
 #include "common/units.hpp"
 #include "datanet/experiment.hpp"
-#include "elasticmap/index.hpp"
 #include "elasticmap/meta_store.hpp"
 #include "workload/movie_gen.hpp"
 
@@ -70,16 +69,6 @@ int main() {
               static_cast<unsigned long long>(added),
               static_cast<unsigned long long>(em.num_blocks()));
   elasticmap::MetaStore::save(em, store);  // refresh the persisted copy
-
-  // Serve interactive queries from the inverted index.
-  const elasticmap::SubDatasetIndex index(em);
-  std::printf("\ntop 5 sub-datasets by exact bytes (from the index):\n");
-  for (const auto& [id, bytes] : index.top_subdatasets(5)) {
-    std::printf("  %016llx : %s in %zu dominant blocks\n",
-                static_cast<unsigned long long>(id),
-                common::format_bytes(bytes).c_str(),
-                index.dominant_blocks(id).size());
-  }
 
   std::filesystem::remove_all(dir);
   return 0;

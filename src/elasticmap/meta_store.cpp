@@ -12,16 +12,12 @@ namespace datanet::elasticmap {
 namespace {
 
 constexpr std::uint64_t kMagic = 0x44417441534e4554ULL;  // "DAtASNET"
-// v1: no blob checksums. v2 appends a CRC32 to each index entry and is what
-// save() writes; both versions load.
+// The one format version save() writes and load() accepts: a CRC32 per
+// index entry. Any other version word is a corrupt store.
 constexpr std::uint64_t kVersion = 2;
-
-std::uint64_t checked_version(std::uint64_t v) {
-  if (v != 1 && v != kVersion) {
-    throw MetaStoreCorruptError("MetaStore: bad version");
-  }
-  return v;
-}
+// Per-entry index footprint: global_index + block_id + offset + length +
+// CRC32 (stored widened to u64).
+constexpr std::uint64_t kIndexEntryBytes = 40;
 
 void put_u64(std::ofstream& f, std::uint64_t v) {
   char buf[8];
@@ -66,24 +62,16 @@ std::uint64_t bytes_remaining(std::istream& f) {
   return static_cast<std::uint64_t>(end - pos);
 }
 
-// Per-entry index footprint: global_index + block_id + offset + length,
-// plus a CRC32 (stored widened to u64) in v2.
-constexpr std::uint64_t index_entry_bytes(std::uint64_t version) {
-  return version >= 2 ? 40 : 32;
-}
-
 struct StoredEntry {
   std::uint64_t global_index;
   dfs::BlockId block_id;
   std::string blob;
 };
 
-// Write one store file holding the given (already serialized) entries, in
-// the requested format version (v1 drops the per-entry CRC32).
+// Write one store file holding the given (already serialized) entries.
 void write_store(const std::string& file_path, const std::string& dataset_path,
                  std::uint64_t raw_bytes, const BuildOptions& options,
-                 const std::vector<StoredEntry>& entries,
-                 std::uint64_t version = kVersion) {
+                 const std::vector<StoredEntry>& entries) {
   // Crash atomicity: build the file beside the target and rename over it, so
   // the live store is never open for writing and a crash mid-save leaves the
   // previous version intact.
@@ -92,7 +80,7 @@ void write_store(const std::string& file_path, const std::string& dataset_path,
     std::ofstream f(tmp_path, std::ios::binary | std::ios::trunc);
     if (!f) throw std::runtime_error("MetaStore: cannot open " + tmp_path);
     put_u64(f, kMagic);
-    put_u64(f, checked_version(version));
+    put_u64(f, kVersion);
     put_u64(f, raw_bytes);
     put_f64(f, options.alpha);
     put_f64(f, options.bloom_fpp);
@@ -109,7 +97,7 @@ void write_store(const std::string& file_path, const std::string& dataset_path,
       put_u64(f, e.block_id);
       put_u64(f, offset);
       put_u64(f, e.blob.size());
-      if (version >= 2) put_u64(f, common::crc32(e.blob));
+      put_u64(f, common::crc32(e.blob));
       offset += e.blob.size();
     }
     for (const auto& e : entries) {
@@ -123,19 +111,23 @@ void write_store(const std::string& file_path, const std::string& dataset_path,
   if (ec) throw std::runtime_error("MetaStore: rename failed for " + file_path);
 }
 
-struct StoreContents {
+// Header and index of one store file: the part both the eager load and the
+// lazy Reader parse. Every blob range is checked against the file size here,
+// so blob reads only fail on a short read or a CRC mismatch.
+struct StoreIndex {
   std::string dataset_path;
-  std::uint64_t raw_bytes;
+  std::uint64_t raw_bytes = 0;
   BuildOptions options;
-  std::vector<StoredEntry> entries;
+  std::vector<MetaStore::IndexEntry> entries;
+  std::streamoff blobs_begin = 0;
 };
 
-StoreContents read_store(const std::string& file_path) {
-  std::ifstream f(file_path, std::ios::binary);
-  if (!f) throw std::runtime_error("MetaStore: cannot open " + file_path);
+StoreIndex read_index(std::istream& f) {
   if (get_u64(f) != kMagic) throw MetaStoreCorruptError("MetaStore: bad magic");
-  const std::uint64_t version = checked_version(get_u64(f));
-  StoreContents out;
+  if (get_u64(f) != kVersion) {
+    throw MetaStoreCorruptError("MetaStore: bad version");
+  }
+  StoreIndex out;
   out.raw_bytes = get_u64(f);
   out.options.alpha = get_f64(f);
   out.options.bloom_fpp = get_f64(f);
@@ -147,37 +139,57 @@ StoreContents read_store(const std::string& file_path) {
   f.read(out.dataset_path.data(), static_cast<std::streamsize>(path_len));
   if (!f) throw MetaStoreCorruptError("MetaStore: truncated file");
   const std::uint64_t n = get_u64(f);
-  if (n > bytes_remaining(f) / index_entry_bytes(version)) {
+  if (n > bytes_remaining(f) / kIndexEntryBytes) {
     throw MetaStoreCorruptError("MetaStore: corrupt entry count");
   }
-  struct RawIdx {
-    std::uint64_t global, bid, off, len;
-    std::uint32_t crc;
-  };
-  std::vector<RawIdx> idx(n);
-  for (auto& e : idx) {
-    e.global = get_u64(f);
-    e.bid = get_u64(f);
-    e.off = get_u64(f);
-    e.len = get_u64(f);
-    e.crc = version >= 2 ? static_cast<std::uint32_t>(get_u64(f)) : 0;
-  }
-  const auto blobs_begin = f.tellg();
-  const std::uint64_t blob_region = bytes_remaining(f);
   out.entries.resize(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    if (idx[i].len > blob_region || idx[i].off > blob_region - idx[i].len) {
+  for (auto& e : out.entries) {
+    e.global_index = get_u64(f);
+    e.block_id = get_u64(f);
+    e.offset = get_u64(f);
+    e.length = get_u64(f);
+    e.crc = static_cast<std::uint32_t>(get_u64(f));
+  }
+  out.blobs_begin = f.tellg();
+  const std::uint64_t blob_region = bytes_remaining(f);
+  for (const auto& e : out.entries) {
+    if (e.length > blob_region || e.offset > blob_region - e.length) {
       throw MetaStoreCorruptError("MetaStore: corrupt blob range");
     }
-    out.entries[i].global_index = idx[i].global;
-    out.entries[i].block_id = idx[i].bid;
-    out.entries[i].blob.resize(idx[i].len);
-    f.seekg(blobs_begin + static_cast<std::streamoff>(idx[i].off));
-    f.read(out.entries[i].blob.data(), static_cast<std::streamsize>(idx[i].len));
-    if (!f) throw MetaStoreCorruptError("MetaStore: truncated blob");
-    if (version >= 2 && common::crc32(out.entries[i].blob) != idx[i].crc) {
-      throw MetaStoreCorruptError("MetaStore: blob checksum mismatch");
-    }
+  }
+  return out;
+}
+
+// One blob, read and checked against its index entry's CRC32.
+std::string read_blob(std::istream& f, std::streamoff blobs_begin,
+                      const MetaStore::IndexEntry& e) {
+  std::string blob(e.length, '\0');
+  f.seekg(blobs_begin + static_cast<std::streamoff>(e.offset));
+  f.read(blob.data(), static_cast<std::streamsize>(e.length));
+  if (!f) throw MetaStoreCorruptError("MetaStore: truncated blob");
+  if (common::crc32(blob) != e.crc) {
+    throw MetaStoreCorruptError("MetaStore: blob checksum mismatch");
+  }
+  return blob;
+}
+
+struct StoreContents {
+  std::string dataset_path;
+  std::uint64_t raw_bytes;
+  BuildOptions options;
+  std::vector<StoredEntry> entries;
+};
+
+StoreContents read_store(const std::string& file_path) {
+  std::ifstream f(file_path, std::ios::binary);
+  if (!f) throw std::runtime_error("MetaStore: cannot open " + file_path);
+  StoreIndex index = read_index(f);
+  StoreContents out{std::move(index.dataset_path), index.raw_bytes,
+                    index.options, {}};
+  out.entries.reserve(index.entries.size());
+  for (const auto& e : index.entries) {
+    out.entries.push_back(
+        {e.global_index, e.block_id, read_blob(f, index.blobs_begin, e)});
   }
   return out;
 }
@@ -224,63 +236,27 @@ ElasticMapArray MetaStore::load(const std::string& file_path) {
   return assemble(read_store(file_path));
 }
 
-void MetaStore::rewrite_as_v1(const std::string& file_path) {
-  auto contents = read_store(file_path);  // verifies CRCs before dropping them
-  write_store(file_path, contents.dataset_path, contents.raw_bytes,
-              contents.options, contents.entries, /*version=*/1);
-}
-
 MetaStore::Reader::Reader(const std::string& file_path)
     : file_(file_path, std::ios::binary) {
   if (!file_) throw std::runtime_error("MetaStore::Reader: cannot open " + file_path);
-  if (get_u64(file_) != kMagic) throw MetaStoreCorruptError("Reader: bad magic");
-  version_ = checked_version(get_u64(file_));
-  raw_bytes_ = get_u64(file_);
-  (void)get_f64(file_);  // alpha
-  (void)get_f64(file_);  // fpp
-  const std::uint64_t path_len = get_u64(file_);
-  if (path_len > bytes_remaining(file_)) {
-    throw MetaStoreCorruptError("Reader: corrupt path length");
-  }
-  dataset_path_.resize(path_len);
-  file_.read(dataset_path_.data(), static_cast<std::streamsize>(path_len));
-  if (!file_) throw MetaStoreCorruptError("Reader: truncated file");
-  const std::uint64_t n = get_u64(file_);
-  if (n > bytes_remaining(file_) / index_entry_bytes(version_)) {
-    throw MetaStoreCorruptError("Reader: corrupt entry count");
-  }
-  index_.resize(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    auto& e = index_[i];
-    const std::uint64_t global = get_u64(file_);
-    e.block_id = get_u64(file_);
-    e.offset = get_u64(file_);
-    e.length = get_u64(file_);
-    e.crc = version_ >= 2 ? static_cast<std::uint32_t>(get_u64(file_)) : 0;
-    // The lazy reader addresses blocks positionally, so it requires a full
-    // (non-sharded) store whose entries are in global order.
-    if (global != i) throw MetaStoreCorruptError("Reader: store is sharded/unordered");
-  }
-  blobs_begin_ = file_.tellg();
-  const std::uint64_t blob_region = bytes_remaining(file_);
-  for (const auto& e : index_) {
-    if (e.length > blob_region || e.offset > blob_region - e.length) {
-      throw MetaStoreCorruptError("Reader: corrupt blob range");
+  StoreIndex index = read_index(file_);
+  dataset_path_ = std::move(index.dataset_path);
+  raw_bytes_ = index.raw_bytes;
+  index_ = std::move(index.entries);
+  blobs_begin_ = index.blobs_begin;
+  // The lazy reader addresses blocks positionally, so it requires a full
+  // (non-sharded) store whose entries are in global order.
+  for (std::uint64_t i = 0; i < index_.size(); ++i) {
+    if (index_[i].global_index != i) {
+      throw MetaStoreCorruptError("MetaStore: store is sharded/unordered");
     }
   }
 }
 
 BlockMeta MetaStore::Reader::load_block(std::uint64_t block_index) {
   if (block_index >= index_.size()) throw std::out_of_range("Reader::load_block");
-  const auto& e = index_[block_index];
-  std::string blob(e.length, '\0');
-  file_.seekg(blobs_begin_ + static_cast<std::streamoff>(e.offset));
-  file_.read(blob.data(), static_cast<std::streamsize>(e.length));
-  if (!file_) throw MetaStoreCorruptError("Reader: truncated blob");
-  if (version_ >= 2 && common::crc32(blob) != e.crc) {
-    throw MetaStoreCorruptError("Reader: blob checksum mismatch");
-  }
-  return BlockMeta::deserialize(blob);
+  return BlockMeta::deserialize(
+      read_blob(file_, blobs_begin_, index_[block_index]));
 }
 
 dfs::BlockId MetaStore::Reader::block_id(std::uint64_t block_index) const {

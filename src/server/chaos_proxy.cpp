@@ -73,12 +73,13 @@ void ChaosProxy::stop() {
   if (accept_thread_.joinable()) accept_thread_.join();
   std::vector<Relay> relays;
   {
+    // Under the lock a relay also takes to publish its upstream Fd.
     std::lock_guard lock(relays_mu_);
     relays.swap(relays_);
-  }
-  for (Relay& r : relays) {
-    if (r.client->valid()) ::shutdown(r.client->get(), SHUT_RDWR);
-    if (r.upstream->valid()) ::shutdown(r.upstream->get(), SHUT_RDWR);
+    for (Relay& r : relays) {
+      if (r.client->valid()) ::shutdown(r.client->get(), SHUT_RDWR);
+      if (r.upstream->valid()) ::shutdown(r.upstream->get(), SHUT_RDWR);
+    }
   }
   for (Relay& r : relays) {
     if (r.thread.joinable()) r.thread.join();
@@ -159,8 +160,13 @@ void ChaosProxy::relay(const std::shared_ptr<Fd>& client,
   if (mode == FaultMode::kReset) return;  // slam the door unread
 
   // The Relay entry shares this Fd, so stop() can shut it and unblock a
-  // relay wedged in a read.
-  *upstream = connect_loopback(upstream_port_);
+  // relay wedged in a read; it is published under the lock stop() reads it
+  // under.
+  Fd connected = connect_loopback(upstream_port_);
+  {
+    std::lock_guard lock(relays_mu_);
+    *upstream = std::move(connected);
+  }
   const Fd& up = *upstream;
 
   bool corrupted = false;

@@ -67,19 +67,28 @@ std::string tagged(MsgType type) {
   return out;
 }
 
-// Tag check + cursor for one decoder; the caller must drain the cursor.
-wire::Cursor open(std::string_view payload, MsgType expect) {
-  if (peek_type(payload) != expect) {
-    throw ProtocolError("datanetd protocol: unexpected message type");
-  }
-  wire::Cursor c(payload);
-  (void)c.u8();  // tag
-  return c;
-}
-
-void expect_drained(const wire::Cursor& c) {
-  if (!c.exhausted()) {
-    throw ProtocolError("datanetd protocol: trailing bytes in message");
+// Checks the tag, runs `body` over the fields, and requires the payload to
+// be consumed whole: a short payload is a truncation, a long one has
+// trailing bytes. Cursor bounds failures surface as the generic truncation
+// error; they are rewrapped so callers get one typed error for any
+// malformed message.
+template <typename Body>
+auto decode(std::string_view payload, MsgType expect, Body body) {
+  try {
+    if (peek_type(payload) != expect) {
+      throw ProtocolError("datanetd protocol: unexpected message type");
+    }
+    wire::Cursor c(payload);
+    (void)c.u8();  // tag
+    auto out = body(c);
+    if (!c.exhausted()) {
+      throw ProtocolError("datanetd protocol: trailing bytes in message");
+    }
+    return out;
+  } catch (const ProtocolError&) {
+    throw;
+  } catch (const std::runtime_error& e) {
+    throw ProtocolError(std::string("datanetd protocol: ") + e.what());
   }
 }
 
@@ -91,7 +100,7 @@ std::string encode_query(const QueryRequest& q) {
   wire::put_bytes(out, q.key);
   wire::put_bytes(out, q.scheduler);
   out.push_back(q.use_datanet_meta ? 1 : 0);
-  wire::put_u32(out, q.deadline_ms);  // v2 suffix
+  wire::put_u32(out, q.deadline_ms);
   return out;
 }
 
@@ -102,8 +111,8 @@ std::string encode_query_ok(const QueryReply& r) {
   wire::put_u64(out, r.blocks_scanned);
   wire::put_u64(out, r.service_micros);
   wire::put_u64(out, r.queue_micros);
-  out.push_back(r.degraded ? 1 : 0);    // v2 suffix
-  wire::put_u64(out, r.staleness_micros);  // v3 suffix
+  out.push_back(r.degraded ? 1 : 0);
+  wire::put_u64(out, r.staleness_micros);
   return out;
 }
 
@@ -147,7 +156,7 @@ std::string encode_stats_ok(const ServerStats& s) {
     wire::put_u64(out, t.completed);
     wire::put_u64(out, t.queue_wait_micros);
   }
-  wire::put_u64(out, s.cache_delta_applies);  // v3 suffix
+  wire::put_u64(out, s.cache_delta_applies);
   return out;
 }
 
@@ -164,52 +173,33 @@ MsgType peek_type(std::string_view payload) {
 }
 
 QueryRequest decode_query(std::string_view payload) {
-  try {
-    wire::Cursor c = open(payload, MsgType::kQuery);
+  return decode(payload, MsgType::kQuery, [](wire::Cursor& c) {
     QueryRequest q;
     q.tenant = c.bytes();
     q.key = c.bytes();
     q.scheduler = c.bytes();
     q.use_datanet_meta = c.u8() != 0;
-    // v1 payloads end here; v2 appends the deadline budget (back-compat
-    // decode — the wire version bump without a flag day).
-    if (!c.exhausted()) q.deadline_ms = c.u32();
-    expect_drained(c);
+    q.deadline_ms = c.u32();
     return q;
-  } catch (const ProtocolError&) {
-    throw;
-  } catch (const std::runtime_error& e) {
-    // Cursor bounds failures surface as the generic truncation error; rewrap
-    // so callers get one typed error for any malformed message.
-    throw ProtocolError(std::string("datanetd protocol: ") + e.what());
-  }
+  });
 }
 
 QueryReply decode_query_ok(std::string_view payload) {
-  try {
-    wire::Cursor c = open(payload, MsgType::kQueryOk);
+  return decode(payload, MsgType::kQueryOk, [](wire::Cursor& c) {
     QueryReply r;
     r.digest = c.u64();
     r.matched_bytes = c.u64();
     r.blocks_scanned = c.u64();
     r.service_micros = c.u64();
     r.queue_micros = c.u64();
-    // v1 payloads end here; v2 appends the degraded flag, v3 the staleness
-    // age of a degraded reply's bundle.
-    if (!c.exhausted()) r.degraded = c.u8() != 0;
-    if (!c.exhausted()) r.staleness_micros = c.u64();
-    expect_drained(c);
+    r.degraded = c.u8() != 0;
+    r.staleness_micros = c.u64();
     return r;
-  } catch (const ProtocolError&) {
-    throw;
-  } catch (const std::runtime_error& e) {
-    throw ProtocolError(std::string("datanetd protocol: ") + e.what());
-  }
+  });
 }
 
 Rejection decode_rejected(std::string_view payload) {
-  try {
-    wire::Cursor c = open(payload, MsgType::kRejected);
+  return decode(payload, MsgType::kRejected, [](wire::Cursor& c) {
     Rejection r;
     const std::uint8_t reason = c.u8();
     if (reason < static_cast<std::uint8_t>(RejectReason::kBadRequest) ||
@@ -218,18 +208,12 @@ Rejection decode_rejected(std::string_view payload) {
     }
     r.reason = static_cast<RejectReason>(reason);
     r.detail = c.bytes();
-    expect_drained(c);
     return r;
-  } catch (const ProtocolError&) {
-    throw;
-  } catch (const std::runtime_error& e) {
-    throw ProtocolError(std::string("datanetd protocol: ") + e.what());
-  }
+  });
 }
 
 ServerStats decode_stats_ok(std::string_view payload) {
-  try {
-    wire::Cursor c = open(payload, MsgType::kStatsOk);
+  return decode(payload, MsgType::kStatsOk, [](wire::Cursor& c) {
     ServerStats s;
     s.queries_served = c.u64();
     s.cache_hits = c.u64();
@@ -256,28 +240,14 @@ ServerStats decode_stats_ok(std::string_view payload) {
       t.completed = c.u64();
       t.queue_wait_micros = c.u64();
     }
-    // v2 payloads end here; v3 appends the delta-apply counter.
-    if (!c.exhausted()) s.cache_delta_applies = c.u64();
-    expect_drained(c);
+    s.cache_delta_applies = c.u64();
     return s;
-  } catch (const ProtocolError&) {
-    throw;
-  } catch (const std::runtime_error& e) {
-    throw ProtocolError(std::string("datanetd protocol: ") + e.what());
-  }
+  });
 }
 
 std::string decode_error(std::string_view payload) {
-  try {
-    wire::Cursor c = open(payload, MsgType::kError);
-    std::string what = c.bytes();
-    expect_drained(c);
-    return what;
-  } catch (const ProtocolError&) {
-    throw;
-  } catch (const std::runtime_error& e) {
-    throw ProtocolError(std::string("datanetd protocol: ") + e.what());
-  }
+  return decode(payload, MsgType::kError,
+                [](wire::Cursor& c) { return c.bytes(); });
 }
 
 }  // namespace datanet::server

@@ -330,8 +330,10 @@ void Server::handle_connection(const std::shared_ptr<Fd>& socket) {
               total > outcome.reply.service_micros
                   ? total - outcome.reply.service_micros
                   : 0;
-          write_all(fd, frame(encode_query_ok(outcome.reply)), io_ms);
+          // Counted before the write, so a client holding its reply never
+          // reads a served count that misses it.
           queries_served_.fetch_add(1, std::memory_order_relaxed);
+          write_all(fd, frame(encode_query_ok(outcome.reply)), io_ms);
         } else if (outcome.rejected) {
           // Worker-side shed (deadline exceeded / shard unavailable): typed,
           // so a retrying client can tell "don't bother" from "try again".
@@ -416,7 +418,7 @@ QueryOutcome Server::run_job(const DispatchJob& job) {
     }
     return execute_query(shard, dataset_.path, net, job.request, opts_.cfg);
   } catch (const dfs::ShardUnavailableError&) {
-    // The owning metadata shard is down mid-lease ("NameNode down"). The
+    // The owning metadata shard is down ("NameNode down"). The
     // block BYTES survive a NameNode crash, so answer read-only from the
     // shard's in-memory snapshot plus the last epoch-validated bundle —
     // marked degraded so the client knows the metadata was not revalidated.

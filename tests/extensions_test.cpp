@@ -469,26 +469,7 @@ TEST(MetaStore, RingPartitionedShardsRoundTrip) {
   }
 }
 
-TEST(MetaStore, MixedFormatShardsLoadTogether) {
-  TempDir tmp;
-  const auto ds = meta_dataset();
-  const auto em = de::ElasticMapArray::build(*ds.dfs, ds.path, {.alpha = 0.3});
-  const auto prefix = tmp.file("mixed");
-  const datanet::dfs::HashRing ring(3);
-  de::ShardedMetaStore::save(em, prefix, ring);
-
-  // Downgrade one shard to format v1 in place; a v1 shard must load next to
-  // its v2 siblings (rolling-upgrade reality: masters rewrite at their own
-  // pace).
-  de::MetaStore::rewrite_as_v1(de::ShardedMetaStore::shard_file(prefix, 1));
-  const auto loaded = de::ShardedMetaStore::load(prefix, 3);
-  EXPECT_EQ(loaded.num_blocks(), em.num_blocks());
-  const auto hot = dw::subdataset_id(ds.hot_keys[0]);
-  EXPECT_EQ(loaded.estimate_total_size(hot), em.estimate_total_size(hot));
-  EXPECT_EQ(loaded.distribution(hot).size(), em.distribution(hot).size());
-}
-
-TEST(MetaStore, CorruptShardBlobFailsTypedWhileV1SiblingLoads) {
+TEST(MetaStore, CorruptShardBlobFailsTyped) {
   TempDir tmp;
   const auto ds = meta_dataset();
   const auto em = de::ElasticMapArray::build(*ds.dfs, ds.path, {.alpha = 0.3});
@@ -808,4 +789,39 @@ TEST(MetaStoreRobustness, ShardedLoadRejectsMixedHeaders) {
   spit(shard1, bytes);
   EXPECT_THROW((void)de::ShardedMetaStore::load(tmp.file("meta"), 2),
                std::runtime_error);
+}
+
+// Stores are written and read in one format version. A file whose version
+// word (u64 at offset 8) says anything else, the retired v1 included, is a
+// typed corrupt-store error through the eager load, the lazy Reader and a
+// sharded load, even though the rest of the file is intact.
+TEST(MetaStoreRobustness, OtherVersionWordsAreRejectedTyped) {
+  TempDir tmp;
+  const auto ds = meta_dataset();
+  const auto em = de::ElasticMapArray::build(*ds.dfs, ds.path, {.alpha = 0.3});
+  de::MetaStore::save(em, tmp.file("meta.bin"));
+  de::ShardedMetaStore::save(em, tmp.file("meta"), 2);
+  const std::string good = slurp(tmp.file("meta.bin"));
+  const auto shard1 = de::ShardedMetaStore::shard_file(tmp.file("meta"), 1);
+  const std::string good_shard = slurp(shard1);
+  ASSERT_EQ(good[8], 2);
+
+  for (const char version : {0, 1, 3}) {
+    std::string bad = good;
+    bad[8] = version;
+    spit(tmp.file("version.bin"), bad);
+    EXPECT_THROW((void)de::MetaStore::load(tmp.file("version.bin")),
+                 de::MetaStoreCorruptError)
+        << "version " << int{version};
+    EXPECT_THROW(de::MetaStore::Reader r(tmp.file("version.bin")),
+                 de::MetaStoreCorruptError)
+        << "version " << int{version};
+
+    std::string bad_shard = good_shard;
+    bad_shard[8] = version;
+    spit(shard1, bad_shard);
+    EXPECT_THROW((void)de::ShardedMetaStore::load(tmp.file("meta"), 2),
+                 de::MetaStoreCorruptError)
+        << "version " << int{version};
+  }
 }

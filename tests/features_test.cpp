@@ -1,6 +1,6 @@
 // Tests for the second wave of library features: Gamma model fitting,
-// varint encoding, the sub-dataset inverted index, the sessionization job,
-// the LPT scheduler, and record file I/O.
+// varint encoding, the sessionization job, the LPT scheduler, and record
+// file I/O.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +15,6 @@
 #include "common/rng.hpp"
 #include "common/varint.hpp"
 #include "datanet/experiment.hpp"
-#include "elasticmap/index.hpp"
 #include "mapred/engine.hpp"
 #include "scheduler/datanet_sched.hpp"
 #include "scheduler/lpt.hpp"
@@ -26,7 +25,6 @@
 #include "workload/movie_gen.hpp"
 
 namespace dc = datanet::core;
-namespace de = datanet::elasticmap;
 namespace ds = datanet::stats;
 namespace dw = datanet::workload;
 namespace dsch = datanet::scheduler;
@@ -138,74 +136,6 @@ TEST(Varint, SmallSizesAreCompact) {
   EXPECT_EQ(datanet::common::varint_length(100), 1u);
   EXPECT_EQ(datanet::common::varint_length(5000), 2u);
   EXPECT_EQ(datanet::common::varint_length(1u << 20), 3u);
-}
-
-// ---- sub-dataset index ----
-
-namespace {
-struct IndexFixture {
-  dc::StoredDataset ds;
-  de::ElasticMapArray em;
-  IndexFixture()
-      : ds([] {
-          dc::ExperimentConfig cfg;
-          cfg.num_nodes = 8;
-          cfg.block_size = 16 * 1024;
-          cfg.seed = 17;
-          return dc::make_movie_dataset(cfg, 32, 200);
-        }()),
-        em(de::ElasticMapArray::build(*ds.dfs, ds.path, {.alpha = 0.3})) {}
-};
-}  // namespace
-
-TEST(Index, PostingsMatchBlockMetas) {
-  IndexFixture f;
-  const de::SubDatasetIndex index(f.em);
-  const auto id = dw::subdataset_id(f.ds.hot_keys[0]);
-  const auto posts = index.dominant_blocks(id);
-  EXPECT_FALSE(posts.empty());
-  std::uint64_t total = 0;
-  for (const auto& p : posts) {
-    EXPECT_EQ(f.em.block_meta(p.block_index).exact_size(id), p.bytes);
-    total += p.bytes;
-  }
-  EXPECT_EQ(index.exact_total(id), total);
-}
-
-TEST(Index, PostingsAscendingBlocks) {
-  IndexFixture f;
-  const de::SubDatasetIndex index(f.em);
-  const auto posts = index.dominant_blocks(dw::subdataset_id(f.ds.hot_keys[0]));
-  for (std::size_t i = 1; i < posts.size(); ++i) {
-    EXPECT_LT(posts[i - 1].block_index, posts[i].block_index);
-  }
-}
-
-TEST(Index, UnknownIdEmpty) {
-  IndexFixture f;
-  const de::SubDatasetIndex index(f.em);
-  EXPECT_TRUE(index.dominant_blocks(dw::subdataset_id("nope")).empty());
-  EXPECT_EQ(index.exact_total(dw::subdataset_id("nope")), 0u);
-}
-
-TEST(Index, TopSubdatasetsDescendingAndConsistent) {
-  IndexFixture f;
-  const de::SubDatasetIndex index(f.em);
-  const auto top = index.top_subdatasets(5);
-  ASSERT_EQ(top.size(), 5u);
-  for (std::size_t i = 1; i < top.size(); ++i) {
-    EXPECT_GE(top[i - 1].second, top[i].second);
-  }
-  // The hottest movie should lead the exact-bytes ranking.
-  EXPECT_EQ(top[0].first, dw::subdataset_id(f.ds.hot_keys[0]));
-  EXPECT_GT(index.memory_bytes(), 0u);
-}
-
-TEST(Index, TopLargerThanUniverseClamped) {
-  IndexFixture f;
-  const de::SubDatasetIndex index(f.em);
-  const auto top = index.top_subdatasets(1 << 20);
-  EXPECT_EQ(top.size(), index.num_subdatasets());
 }
 
 // ---- sessionize ----

@@ -516,7 +516,8 @@ TEST_P(EngineGrouping, MatchesNaiveMapReference) {
     std::set<std::string> block_keys;
     for (std::uint64_t r = 0; r < records; ++r, ++tag) {
       const std::string key = random_key();
-      const std::string payload = "t" + std::to_string(tag);
+      std::string payload = "t";
+      payload += std::to_string(tag);
       block += std::to_string(tag) + "\t" + key + "\t" + payload + "\n";
       values[key].push_back(payload);
       block_keys.insert(key);

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "datanet/datanet.hpp"
 #include "datanet/experiment.hpp"
 #include "datanet/selection_runtime.hpp"
@@ -25,6 +26,7 @@
 #include "dfs/fsck.hpp"
 #include "dfs/mini_dfs.hpp"
 #include "dfs/replication_monitor.hpp"
+#include "dfs/wire.hpp"
 #include "elasticmap/elastic_map.hpp"
 #include "elasticmap/meta_store.hpp"
 #include "mapred/report_json.hpp"
@@ -411,6 +413,41 @@ TEST(FsImage, BitFlipAndTruncationAreRejectedTyped) {
   EXPECT_THROW((void)dd::FsImage::load(cut), dd::FsImageError);
   EXPECT_THROW((void)dd::FsImage::load(c.tmp.file("missing.fsimage")),
                dd::FsImageError);
+}
+
+// Images are written and read in one version. An image whose version word
+// (u32 after the 8-byte magic) says 1 — the retired format without an
+// open-block section — or anything else is rejected typed, by load and by
+// inspect. The CRC trailer is re-stamped so the version check, not the
+// checksum, is what refuses it.
+TEST(FsImage, OtherVersionWordsAreRejectedTyped) {
+  DurableCluster c;
+  dw::ingest(*c.dfs, "/logs/a", small_records(20, 5));
+  const auto path = c.tmp.file("check.fsimage");
+  dd::FsImage::save(*c.dfs, path);
+  std::string good;
+  {
+    std::ifstream in(path, std::ios::binary);
+    good.assign(std::istreambuf_iterator<char>(in),
+                std::istreambuf_iterator<char>());
+  }
+  ASSERT_EQ(good[8], 2);
+
+  const auto bad_path = c.tmp.file("version.fsimage");
+  for (const char version : {0, 1, 3}) {
+    std::string bad = good.substr(0, good.size() - 4);
+    bad[8] = version;
+    dd::wire::put_u32(bad, datanet::common::crc32(bad));
+    std::ofstream(bad_path, std::ios::binary | std::ios::trunc) << bad;
+    EXPECT_THROW((void)dd::FsImage::load(bad_path), dd::FsImageError)
+        << "version " << int{version};
+    EXPECT_THROW((void)dd::FsImage::inspect(bad_path), dd::FsImageError)
+        << "version " << int{version};
+  }
+  // Re-stamping reproduces the saved trailer, so only the version differs.
+  std::string same = good.substr(0, good.size() - 4);
+  dd::wire::put_u32(same, datanet::common::crc32(same));
+  ASSERT_EQ(same, good);
 }
 
 // --------------------------------------------------- ReplicationMonitor --

@@ -10,8 +10,8 @@
 // a server section (datanetd loopback qps + latency percentiles with served
 // digests checked against golden in-process runs — PR 7, see bench_server),
 // a metadata section (ring lookup throughput, shard balance and
-// kill-one-shard recovery wall over a 1/4/16 shard sweep, client lease-cache
-// hit rate — PR 8's sharded metadata plane), a resilience section (serving
+// kill-one-shard recovery wall over a 1/4/16 shard sweep of the sharded
+// metadata plane), a resilience section (serving
 // through a seeded ChaosProxy via the retrying client across a
 // crash/degrade/recover cycle — PR 9, see chaos_drill), an ingest section
 // (journaled group-commit append throughput, delta-apply vs full-rebuild
@@ -39,7 +39,6 @@
 #include "dfs/fsck.hpp"
 #include "dfs/hash_ring.hpp"
 #include "dfs/ingest.hpp"
-#include "dfs/meta_client.hpp"
 #include "dfs/meta_plane.hpp"
 #include "dfs/replication_monitor.hpp"
 #include "elasticmap/live_map.hpp"
@@ -412,8 +411,8 @@ int main() {
   std::printf("  },\n");
 
   // Metadata plane (PR 8): pure ring routing throughput, a 1/4/16 shard
-  // sweep (per-shard block balance, kill-one-shard recovery wall time), the
-  // client lease-cache hit rate, and placement_identical — the deterministic
+  // sweep (per-shard block balance, kill-one-shard recovery wall time), and
+  // placement_identical — the deterministic
   // field: the same file must get byte-identical placement at every shard
   // count (the digest contract behind serve --meta-shards).
   std::printf("  \"metadata\": {\n");
@@ -496,33 +495,8 @@ int main() {
     }
     std::printf("    },\n");
     std::filesystem::remove_all(bench_dir);
-    std::printf("    \"placement_identical\": %s,\n",
+    std::printf("    \"placement_identical\": %s\n",
                 identical ? "true" : "false");
-
-    // Lease hit rate: 16 hot files over a 4-shard plane, one access per file
-    // per tick, 16-tick leases — the steady-state mix of lease hits vs
-    // renewals vs refetches a long-lived client sees.
-    dfs::MetaPlaneOptions popt;
-    popt.num_shards = 4;
-    popt.dfs = dopt;
-    dfs::MetaPlane plane(dfs::ClusterTopology::flat(16), popt);
-    std::vector<std::string> hot;
-    for (std::uint32_t f = 0; f < 16; ++f) {
-      hot.push_back("/bench/f" + std::to_string(f));
-      write_bench_file(plane, hot.back());
-    }
-    dfs::ClientMetaCache cache(plane, {.lease_ticks = 16});
-    for (int t = 0; t < 512; ++t) {
-      for (const auto& path : hot) (void)cache.blocks_of(path);
-      cache.tick();
-    }
-    const auto& cs = cache.stats();
-    const double accesses =
-        static_cast<double>(cs.lease_hits + cs.renewals + cs.refetches);
-    std::printf("    \"lease_accesses\": %.0f,\n", accesses);
-    std::printf("    \"lease_hit_rate\": %.4f\n",
-                accesses > 0 ? static_cast<double>(cs.lease_hits) / accesses
-                             : 0.0);
   }
   std::printf("  },\n");
 
